@@ -28,6 +28,11 @@ ORACLE_LIMIT_DEFAULT = 14
 
 _INT64_LIMIT = 1 << 63
 
+# The kernel's working set: stages below TILE_LOG2 run on one 2**TILE_LOG2
+# tile at a time (512 KiB of int64), sized to stay in a per-core L2 cache.
+TILE_LOG2 = 16
+TILE_ELEMS = 1 << TILE_LOG2
+
 
 class Domain(enum.Enum):
     TIME = "time"
@@ -94,27 +99,82 @@ def check_magnitude_bound(data: np.ndarray, log2_dim: int) -> None:
         )
 
 
+def _butterfly(lo: np.ndarray, hi: np.ndarray, tmp: np.ndarray) -> None:
+    """(lo, hi) <- (lo + hi, lo - hi) in place; ``tmp`` has lo's shape."""
+    np.subtract(lo, hi, out=tmp)
+    lo += hi
+    hi[...] = tmp
+
+
+def _row_stages(flat: np.ndarray, first: int, last: int, tmp: np.ndarray) -> None:
+    """Stages first .. last-1 (stride 2**k) over a contiguous 1-D array."""
+    for k in range(first, last):
+        pairs = flat.reshape(-1, 2, 1 << k)
+        lo = pairs[:, 0, :]
+        _butterfly(lo, pairs[:, 1, :], tmp[: lo.size].reshape(lo.shape))
+
+
+def _butterfly_slices(lo: np.ndarray, hi: np.ndarray, tmp: np.ndarray) -> None:
+    """Butterfly two equal-length 1-D views, ``tmp.size`` elements at a time."""
+    step = tmp.size
+    for off in range(0, lo.size, step):
+        end = min(off + step, lo.size)
+        _butterfly(lo[off:end], hi[off:end], tmp[: end - off])
+
+
+def butterfly(lo: np.ndarray, hi: np.ndarray) -> None:
+    """Replace (lo, hi) by (lo + hi, lo - hi) elementwise, in place.
+
+    ``lo`` and ``hi`` are disjoint 1-D arrays of one length and dtype.
+    The difference passes through a per-call scratch of at most half a
+    tile, so memory use does not grow with the length and concurrent
+    callers share nothing.
+    """
+    tmp = np.empty(min(lo.size, TILE_ELEMS // 2), dtype=lo.dtype)
+    _butterfly_slices(lo, hi, tmp)
+
+
 def fwht_array(buf: np.ndarray) -> int:
     """Transform ``buf`` (length 2**n, contiguous) in place.
 
     Stage k pairs elements at stride 2**k and replaces (a, b) with
     (a + b, a - b). Returns the number of butterflies executed, which is
     always n * 2**(n-1).
+
+    Stages below TILE_LOG2 run tile by tile. A tile of 2**t elements
+    (t = min(n, TILE_LOG2)) is viewed as a 2**(t-h) x 2**h matrix,
+    h = t // 2, whose columns are the low h index bits. Copied transposed
+    into scratch, stages 0 .. h-1 become row stages there; copied back,
+    stages h .. t-1 are row stages in place. Every numpy call then runs
+    inner loops of at least 2**(t-h) elements over cache-resident data.
+    Stages t .. n-1 pair half-tile slices. Each butterfly sees the same
+    operands as in the plain stage-by-stage loop, so int64 and float64
+    output is bit-identical to it. Scratch is 1.5 tiles, allocated per
+    call so concurrent callers on disjoint buffers are safe.
     """
     if not buf.flags.c_contiguous:
         raise BadArguments("in-place transform needs a contiguous buffer")
-    n = int(buf.shape[0]).bit_length() - 1
-    butterflies = 0
-    for k in range(n):
+    dim = int(buf.shape[0])
+    n = dim.bit_length() - 1
+    t = min(n, TILE_LOG2)
+    h = t // 2
+    tile = np.empty((1 << h, 1 << (t - h)), dtype=buf.dtype)
+    tmp = np.empty((1 << t) >> 1, dtype=buf.dtype)
+    flat = tile.reshape(-1)
+    for start in range(0, dim, 1 << t):
+        block = buf[start : start + (1 << t)]
+        matrix = block.reshape(1 << (t - h), 1 << h)
+        np.copyto(tile, matrix.T)
+        _row_stages(flat, t - h, t, tmp)
+        np.copyto(matrix, tile.T)
+        _row_stages(block, h, t, tmp)
+    for k in range(t, n):
         stride = 1 << k
-        pairs = buf.reshape(-1, 2, stride)
-        lo = pairs[:, 0, :]
-        hi = pairs[:, 1, :]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        butterflies += diff.size
-    return butterflies
+        for base in range(0, dim, stride << 1):
+            _butterfly_slices(
+                buf[base : base + stride], buf[base + stride : base + (stride << 1)], tmp
+            )
+    return (n << n) >> 1
 
 
 def fwht_inplace(sig: Signal) -> Signal:

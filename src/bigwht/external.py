@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 
 from .bits import is_power_of_two
-from .core import fwht_array
+from .core import butterfly, fwht_array
 from .dataset import ELEMENT_BYTES, DatasetFile
 from .errors import BadArguments, BadBlockSize, OverflowBoundError
 
@@ -277,7 +277,6 @@ def _blocked_stage_pass(ds: DatasetFile, stage: int, block_elems: int) -> None:
         for offset in range(0, j, block_elems):
             lo = ds.read_block(base + offset, block_elems)
             hi = ds.read_block(base + offset + j, block_elems)
-            diff = lo - hi
-            lo += hi
+            butterfly(lo, hi)
             ds.write_block(base + offset, lo)
-            ds.write_block(base + offset + j, diff)
+            ds.write_block(base + offset + j, hi)

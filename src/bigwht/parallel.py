@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import is_power_of_two
-from .core import Signal, Domain, check_magnitude_bound, fwht_array
+from .core import Signal, Domain, butterfly, check_magnitude_bound, fwht_array
 from .errors import BadArguments, InvalidWorkerCount, ValidationError
 
 
@@ -152,11 +152,10 @@ def _run_chunk(buf: np.ndarray, start: int, length: int) -> None:
 
 
 def _run_workload(buf: np.ndarray, w: Workload) -> None:
-    lo = buf[w.start : w.start + w.count]
-    hi = buf[w.start + w.stride : w.start + w.stride + w.count]
-    diff = lo - hi
-    lo += hi
-    hi[:] = diff
+    butterfly(
+        buf[w.start : w.start + w.count],
+        buf[w.start + w.stride : w.start + w.stride + w.count],
+    )
 
 
 def run_parallel(sig: Signal, plan: ParallelPlan, on_phase_complete=None) -> Signal:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import parity_array
+from .bits import is_power_of_two, parity_array
 from .core import Domain, Signal
 from .dataset import DatasetFile
 from .errors import BadArguments, BadDims, BadMetadata, DimMismatch
@@ -133,18 +133,34 @@ def folded_coefficient_index(lmap: LinearMap, i_reduced: int) -> int:
     return out
 
 
+def _subset_xor(masks: np.ndarray) -> np.ndarray:
+    """Entry j is the XOR of the masks selected by the bits of j.
+
+    Built by doubling: the second half of each prefix is the first half
+    XORed with the next mask, so 2**len(masks) entries cost one pass.
+    """
+    out = np.zeros(1 << len(masks), dtype=np.int64)
+    for r, mask in enumerate(masks.tolist()):
+        size = 1 << r
+        np.bitwise_xor(out[:size], np.int64(mask), out=out[size : 2 * size])
+    return out
+
+
 def row_space(lmap: LinearMap) -> np.ndarray:
     """All 2**d_out original indices {L^T i'}, in folded-index order.
 
-    Built by subset-XOR doubling: entry i' is the XOR of the rows of L
-    selected by the bits of i'.
+    Entry i' is the XOR of the rows of L selected by the bits of i'.
     """
-    masks = lmap.row_masks()
-    out = np.zeros(1 << lmap.d_out, dtype=np.int64)
-    for r in range(lmap.d_out):
-        size = 1 << r
-        out[size : 2 * size] = out[:size] ^ masks[r]
-    return out
+    return _subset_xor(lmap.row_masks())
+
+
+def image_table(lmap: LinearMap, log2_count: int) -> np.ndarray:
+    """L . j for j = 0 .. 2**log2_count - 1, in index order.
+
+    Entry j is the XOR of the columns of L selected by the bits of j, so
+    the table costs one XOR per entry instead of d_out parity passes.
+    """
+    return _subset_xor(lmap.column_masks()[:log2_count])
 
 
 def fold(sig: Signal, lmap: LinearMap) -> Signal:
@@ -156,8 +172,7 @@ def fold(sig: Signal, lmap: LinearMap) -> Signal:
             f"signal has n={sig.log2_dim}, map expects d_in={lmap.d_in}"
         )
     out = np.zeros(1 << lmap.d_out, dtype=sig.data.dtype)
-    indices = np.arange(1 << lmap.d_in, dtype=np.int64)
-    np.add.at(out, apply_map_array(lmap, indices), sig.data)
+    np.add.at(out, image_table(lmap, lmap.d_in), sig.data)
     return Signal(out, Domain.TIME)
 
 
@@ -165,21 +180,33 @@ def fold_dataset(
     ds: DatasetFile, lmap: LinearMap, io_block_elems: int = 1 << 16
 ) -> np.ndarray:
     """Streaming fold: one linear scan of the source dataset, accumulating
-    into an in-memory array of 2**d_out elements."""
+    into an in-memory array of 2**d_out elements.
+
+    ``io_block_elems`` must be a power of two. Blocks then start at
+    multiples of their length, so start + off = start XOR off and
+    L . (start + off) = L . start XOR table[off]: one table of block
+    length serves every block.
+    """
     if ds.domain != "time":
         raise BadArguments(f"{ds.path} is not time-domain")
     if ds.log2_dim != lmap.d_in:
         raise DimMismatch(
             f"dataset has n={ds.log2_dim}, map expects d_in={lmap.d_in}"
         )
-    out = np.zeros(1 << lmap.d_out, dtype=ds.dtype.newbyteorder("="))
-    block = min(io_block_elems, ds.dim)
-    for start in range(0, ds.dim, block):
-        count = min(block, ds.dim - start)
-        chunk = ds.read_block(start, count)
-        targets = apply_map_array(
-            lmap, np.arange(start, start + count, dtype=np.int64)
+    if not is_power_of_two(io_block_elems):
+        raise BadArguments(
+            f"io_block_elems must be a power of two, got {io_block_elems}"
         )
+    block = min(io_block_elems, ds.dim)
+    table = image_table(lmap, block.bit_length() - 1)
+    targets = np.empty(block, dtype=np.int64)
+    # np.add.at takes its fast path only when the accumulator and the
+    # values share one dtype descriptor; read_block returns plain ones.
+    acc_dtype = np.int64 if ds.element_kind == "int64" else np.float64
+    out = np.zeros(1 << lmap.d_out, dtype=acc_dtype)
+    for start in range(0, ds.dim, block):
+        chunk = ds.read_block(start, block)
+        np.bitwise_xor(table, np.int64(apply_map(lmap, start)), out=targets)
         np.add.at(out, targets, chunk)
     return out
 

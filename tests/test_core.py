@@ -1,12 +1,17 @@
 """Core transform tests: the brute-force definition is the oracle, the
 fast path must agree with it exactly."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from bigwht.core import (
+    TILE_ELEMS,
     Domain,
     Signal,
+    butterfly,
     check_magnitude_bound,
     fwht_array,
     fwht_inplace,
@@ -134,6 +139,71 @@ class TestFwht:
         # One notch below the bound passes.
         ok = np.full(1 << n, (1 << 59) - 1, dtype=np.int64)
         fwht_inplace(Signal(ok))
+
+
+def stagewise_fwht(buf):
+    """The plain stage-by-stage loop the tiled kernel must match bit for bit."""
+    n = int(buf.shape[0]).bit_length() - 1
+    for k in range(n):
+        pairs = buf.reshape(-1, 2, 1 << k)
+        lo = pairs[:, 0, :]
+        hi = pairs[:, 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    return buf
+
+
+def tile_boundary_input(n, dtype, seed):
+    rng = np.random.default_rng([seed, n])
+    if dtype == np.int64:
+        return rng.integers(-(1 << 20), 1 << 20, 1 << n).astype(np.int64)
+    return rng.normal(size=1 << n)
+
+
+class TestTiledKernel:
+    """Dimensions below, at and above the tile size TILE_LOG2 = 16."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 18])
+    def test_matches_stagewise_loop(self, n, dtype):
+        x = tile_boundary_input(n, dtype, 1)
+        expected = stagewise_fwht(x.copy())
+        got = x.copy()
+        assert fwht_array(got) == (n << n) >> 1
+        assert np.array_equal(got, expected)  # bit-identical, not approx
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 18])
+    def test_concurrent_halves(self, n, dtype):
+        x = tile_boundary_input(n, dtype, 2)
+        expected = x.copy()
+        half = expected.size // 2
+        fwht_array(expected[:half])
+        fwht_array(expected[half:])
+        got = x.copy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(fwht_array, got[:half]),
+                           pool.submit(fwht_array, got[half:])]
+                for fut in futures:
+                    fut.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("length", [1, 5, TILE_ELEMS // 2, TILE_ELEMS + 3])
+    def test_butterfly(self, length, dtype):
+        rng = np.random.default_rng(length)
+        lo = rng.integers(-1000, 1000, length).astype(dtype)
+        hi = rng.integers(-1000, 1000, length).astype(dtype)
+        a, b = lo.copy(), hi.copy()
+        butterfly(a, b)
+        assert np.array_equal(a, lo + hi)
+        assert np.array_equal(b, lo - hi)
 
 
 class TestInverse:

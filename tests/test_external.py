@@ -117,6 +117,24 @@ class TestBlocked:
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_tile_boundary_byte_identical(self, tmp_path, dtype):
+        # n = 18 > B = 17 > TILE_LOG2 = 16: pass 0 runs whole tiles plus
+        # one cross-tile stage per superblock, then one blocked stage pass.
+        n, b = 18, 17
+        rng = np.random.default_rng(18)
+        if dtype == np.int64:
+            data = rng.integers(-(1 << 20), 1 << 20, 1 << n).astype(np.int64)
+        else:
+            data = rng.normal(size=1 << n)
+        path, _ = make_dataset(tmp_path, n, data=data)
+        expected = data.copy()
+        fwht_array(expected)
+        with dataset.open_validated(path) as ds:
+            run_external_blocked(ds, b, io_block_elems=1 << 16)
+        got, _, _ = dataset.read_signal(path)
+        assert got.tobytes() == expected.tobytes()
+
     def test_block_size_independence(self, tmp_path):
         results = []
         for s_log2 in (4, 6, 9):

@@ -4,7 +4,7 @@ reference schedule, provable disjointness, and exact serial equivalence."""
 import numpy as np
 import pytest
 
-from bigwht.core import Signal, fwht_inplace
+from bigwht.core import Signal, fwht_array, fwht_inplace
 from bigwht.errors import InvalidWorkerCount, ValidationError
 from bigwht.parallel import (
     ParallelPlan,
@@ -127,6 +127,20 @@ class TestRun:
         expected = fwht_inplace(Signal(x.copy())).data
         got = run_parallel(Signal(x.copy()), plan_parallel(n, 2))
         assert np.array_equal(got.data, expected)  # bit-identical, not approx
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_tile_boundary_equivalence(self, n, dtype):
+        rng = np.random.default_rng([102, n])
+        if dtype == np.int64:
+            x = rng.integers(-(1 << 20), 1 << 20, 1 << n).astype(np.int64)
+        else:
+            x = rng.normal(size=1 << n)
+        expected = x.copy()
+        fwht_array(expected)
+        for p in (1, 2):
+            got = run_parallel(Signal(x.copy()), plan_parallel(n, p))
+            assert got.data.tobytes() == expected.tobytes(), (n, p)
 
     def test_barrier_count(self):
         phases_seen = []

@@ -10,12 +10,14 @@ from bigwht.core import Domain, Signal, fwht_inplace
 from bigwht.errors import BadArguments, BadDims, BadMetadata, DimMismatch
 from bigwht.subspace import (
     LinearMap,
+    apply_map,
     coverage_model,
     coverage_simulate,
     fold,
     fold_dataset,
     folded_coefficient_index,
     gf2_rank,
+    image_table,
     load_map,
     random_full_rank,
     row_space,
@@ -106,6 +108,38 @@ class TestFold:
         with dataset.open_validated(path) as ds:
             streamed = fold_dataset(ds, lmap, io_block_elems=32)
         assert np.array_equal(streamed, fold(Signal(x), lmap).data)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("block", [1, 32, 1 << 9, 1 << 11])
+    def test_streaming_block_sizes(self, tmp_path, dtype, block):
+        rng = np.random.default_rng(8)
+        x = rng.integers(-99, 99, 1 << 9).astype(dtype)
+        lmap = random_full_rank(9, 5, seed=12)
+        reference = np.zeros(1 << 5, dtype=dtype)
+        for j, value in enumerate(x.tolist()):  # preimage sums, index order
+            reference[apply_map(lmap, j)] += value
+        path = str(tmp_path / "src.bin")
+        dataset.write_signal(path, x)
+        with dataset.open_validated(path) as ds:
+            streamed = fold_dataset(ds, lmap, io_block_elems=block)
+        assert streamed.dtype == dtype
+        assert np.array_equal(streamed, reference)
+        assert np.array_equal(streamed, fold(Signal(x), lmap).data)
+
+    @pytest.mark.parametrize("block", [0, 3, 48])
+    def test_streaming_rejects_non_power_of_two_block(self, tmp_path, block):
+        lmap = random_full_rank(6, 3, seed=13)
+        path = str(tmp_path / "src.bin")
+        dataset.write_signal(path, np.arange(1 << 6, dtype=np.int64))
+        with dataset.open_validated(path) as ds:
+            with pytest.raises(BadArguments):
+                fold_dataset(ds, lmap, io_block_elems=block)
+
+    def test_image_table_matches_apply_map(self):
+        lmap = random_full_rank(10, 4, seed=14)
+        table = image_table(lmap, 10)
+        assert table.tolist() == [apply_map(lmap, j) for j in range(1 << 10)]
+        assert np.array_equal(image_table(lmap, 6), table[: 1 << 6])
 
 
 class TestFoldedIndex:
