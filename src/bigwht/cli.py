@@ -186,6 +186,11 @@ def transform_mem(ctx, in_path, threads):
 @click.pass_context
 def transform_ext(ctx, in_path, mem_log2, mode, io_block_bytes, resume):
     """Out-of-core transform in q = n - B + 1 disk passes."""
+    if mode == "entrywise" and io_block_bytes is not None:
+        raise click.UsageError(
+            "--io-block-bytes applies to blocked mode; entrywise moves one "
+            "element per operation"
+        )
     _adopt_if_forced(ctx, in_path, "time")
     ds = dataset.open_validated(in_path)
     try:

@@ -13,7 +13,6 @@ import json
 import mmap
 import os
 import shutil
-import struct
 
 import numpy as np
 
@@ -64,6 +63,13 @@ def _write_sidecar(path: str, meta: dict) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, sidecar_path(path))
+    # The rename is durable only once the directory entry is: without this
+    # a crash can bring back the previous pass-progress marker.
+    dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read_sidecar(path: str) -> dict:
@@ -86,6 +92,22 @@ def _read_sidecar(path: str) -> dict:
     if meta.get("domain") not in _DOMAINS:
         raise BadMetadata(f"bad domain {meta.get('domain')!r}")
     return meta
+
+
+def _transfer(fd: int, call, view: memoryview, offset: int, what: str) -> None:
+    """Run ``call`` (os.preadv or os.pwritev) until all of ``view`` has moved
+    at byte ``offset``, resuming after partial transfers."""
+    pos = 0
+    while pos < len(view):
+        try:
+            done = call(fd, [view[pos:]], offset + pos)
+        except OSError as exc:
+            raise IoFailure(f"{what} failed at byte {offset + pos}: {exc}") from exc
+        if done <= 0:
+            raise IoFailure(
+                f"short {what} at byte {offset + pos}: {pos}/{len(view)} bytes"
+            )
+        pos += done
 
 
 class IoStats:
@@ -194,32 +216,11 @@ class DatasetFile:
         self._check_bounds(start, count)
         if self.fault_hook is not None:
             self.fault_hook("read", start, count)
-        offset = start * ELEMENT_BYTES
-        nbytes = count * ELEMENT_BYTES
-        if self.direct:
-            raw = self._direct_read(offset, nbytes)
-        else:
-            raw = bytearray(nbytes)
-            view = memoryview(raw)
-            pos = 0
-            while pos < nbytes:
-                try:
-                    got = os.preadv(self._fd, [view[pos:]], offset + pos)
-                except OSError as exc:
-                    raise IoFailure(
-                        f"read failed at byte {offset + pos}: {exc}"
-                    ) from exc
-                if got <= 0:
-                    raise IoFailure(
-                        f"short read at byte {offset + pos}: "
-                        f"{pos}/{nbytes} bytes"
-                    )
-                pos += got
+        out = np.empty(count, dtype=self.dtype)
+        self._move(os.preadv, memoryview(out).cast("B"), start * ELEMENT_BYTES, "read")
         self.stats.reads += 1
         self.stats.elements_read += count
-        return np.frombuffer(raw, dtype=self.dtype, count=count).astype(
-            self.dtype.newbyteorder("="), copy=False
-        )
+        return out
 
     def write_block(self, start: int, data: np.ndarray) -> None:
         data = np.asarray(data)
@@ -232,110 +233,31 @@ class DatasetFile:
             )
         if self.fault_hook is not None:
             self.fault_hook("write", start, data.shape[0])
-        offset = start * ELEMENT_BYTES
-        raw = data.astype(self.dtype, copy=False).tobytes()
-        if self.direct:
-            self._direct_write(offset, raw)
-        else:
-            view = memoryview(raw)
-            pos = 0
-            while pos < len(raw):
-                try:
-                    written = os.pwritev(self._fd, [view[pos:]], offset + pos)
-                except OSError as exc:
-                    raise IoFailure(
-                        f"write failed at byte {offset + pos}: {exc}"
-                    ) from exc
-                if written <= 0:
-                    raise IoFailure(
-                        f"short write at byte {offset + pos}: "
-                        f"{pos}/{len(raw)} bytes"
-                    )
-                pos += written
+        raw = np.ascontiguousarray(data, dtype=self.dtype)
+        self._move(os.pwritev, memoryview(raw).cast("B"), start * ELEMENT_BYTES, "write")
         self.stats.writes += 1
         self.stats.elements_written += data.shape[0]
 
-    # Scalar element access: the entry-wise external executor works one
-    # element at a time, where array round-trips would dominate.
-
-    def read_element(self, index: int):
-        self._check_bounds(index, 1)
-        if self.fault_hook is not None:
-            self.fault_hook("read", index, 1)
-        offset = index * ELEMENT_BYTES
-        try:
-            raw = os.pread(self._fd, ELEMENT_BYTES, offset)
-        except OSError as exc:
-            raise IoFailure(f"read failed at byte {offset}: {exc}") from exc
-        if len(raw) != ELEMENT_BYTES:
-            raise IoFailure(f"short read at byte {offset}")
-        self.stats.reads += 1
-        self.stats.elements_read += 1
-        if self.element_kind == "int64":
-            return int.from_bytes(raw, "little", signed=True)
-        return struct.unpack("<d", raw)[0]
-
-    def write_element(self, index: int, value) -> None:
-        self._check_bounds(index, 1)
-        if self.fault_hook is not None:
-            self.fault_hook("write", index, 1)
-        offset = index * ELEMENT_BYTES
-        if self.element_kind == "int64":
-            raw = int(value).to_bytes(ELEMENT_BYTES, "little", signed=True)
-        else:
-            raw = struct.pack("<d", value)
-        try:
-            written = os.pwrite(self._fd, raw, offset)
-        except OSError as exc:
-            raise IoFailure(f"write failed at byte {offset}: {exc}") from exc
-        if written != ELEMENT_BYTES:
-            raise IoFailure(f"short write at byte {offset}")
-        self.stats.writes += 1
-        self.stats.elements_written += 1
-
-    # -- direct I/O -------------------------------------------------------
-
-    def _direct_check(self, offset: int, nbytes: int) -> None:
-        if offset % self._align or nbytes % self._align:
+    def _move(self, call, view: memoryview, offset: int, what: str) -> None:
+        """Transfer all of ``view`` at byte ``offset`` with ``call``."""
+        if not self.direct:
+            _transfer(self._fd, call, view, offset, what)
+            return
+        if offset % self._align or len(view) % self._align:
             raise BadArguments(
                 f"direct I/O needs offset and size aligned to {self._align}"
             )
-
-    def _direct_read(self, offset: int, nbytes: int) -> bytearray:
-        self._direct_check(offset, nbytes)
-        out = bytearray()
-        view = memoryview(self._buf)
-        pos = offset
-        remaining = nbytes
-        while remaining:
-            step = min(remaining, len(self._buf))
-            try:
-                got = os.preadv(self._fd, [view[:step]], pos)
-            except OSError as exc:
-                raise IoFailure(f"direct read failed at byte {pos}: {exc}") from exc
-            if got != step:
-                raise IoFailure(f"short direct read at byte {pos}")
-            out += view[:step]
-            pos += step
-            remaining -= step
-        return out
-
-    def _direct_write(self, offset: int, raw: bytes) -> None:
-        self._direct_check(offset, len(raw))
-        view = memoryview(self._buf)
-        pos = 0
-        while pos < len(raw):
-            step = min(len(raw) - pos, len(self._buf))
-            view[:step] = raw[pos : pos + step]
-            try:
-                written = os.pwritev(self._fd, [view[:step]], offset + pos)
-            except OSError as exc:
-                raise IoFailure(
-                    f"direct write failed at byte {offset + pos}: {exc}"
-                ) from exc
-            if written != step:
-                raise IoFailure(f"short direct write at byte {offset + pos}")
-            pos += step
+        # O_DIRECT needs an aligned buffer and caller arrays are not
+        # page-aligned, so each chunk passes through the mmap'd bounce buffer.
+        bounce = memoryview(self._buf)
+        for pos in range(0, len(view), len(bounce)):
+            chunk = view[pos : pos + len(bounce)]
+            staged = bounce[: len(chunk)]
+            if what == "write":
+                staged[:] = chunk
+            _transfer(self._fd, call, staged, offset + pos, "direct " + what)
+            if what == "read":
+                chunk[:] = staged
 
     # -- lifecycle --------------------------------------------------------
 

@@ -6,12 +6,13 @@ stages 0 .. B-1), then each remaining pass performs one stage
 k = B .. n-1 directly against the file. Every pass reads and writes each
 dataset byte exactly once.
 
-Two stage-pass executors exist. Entry-wise reads the two elements of
-every butterfly individually (the direct adaptation of the in-memory
-loop). Blocked pairs whole runs of S elements at matching offsets, which
-turns the same arithmetic into large sequential transfers; S is
+One stage-pass executor serves both modes: it pairs runs of S elements
+at matching offsets 2**k apart, butterflies them and writes them back.
+Blocked mode turns the arithmetic into large sequential transfers; S is
 independent of B and bounded by S <= 2**(B-1) so two blocks fit the
-memory budget.
+memory budget. Entry-wise mode is the same pass with S = 1, which is
+the paper's skip-rule loop: read pt, read pt + 2**k, write both, one
+element per operation.
 
 After every completed pass the sidecar gains an updated pass-progress
 marker, so an interrupted run can be restarted from the failed pass with
@@ -28,11 +29,9 @@ import enum
 from dataclasses import dataclass
 
 from .bits import is_power_of_two
-from .core import butterfly, fwht_array
+from .core import butterfly, check_magnitude_bound, fwht_array
 from .dataset import ELEMENT_BYTES, DatasetFile
-from .errors import BadArguments, BadBlockSize, OverflowBoundError
-
-_INT64_LIMIT = 1 << 63
+from .errors import BadArguments, BadBlockSize
 
 
 class ExternalMode(enum.Enum):
@@ -80,7 +79,12 @@ def plan_external(
             f"{ELEMENT_BYTES}, got {io_block_bytes}"
         )
     block_elems = io_block_bytes // ELEMENT_BYTES
-    if mode == ExternalMode.BLOCKED and block_elems > 1 << (mem_log2 - 1):
+    if mode == ExternalMode.ENTRYWISE and block_elems != 1:
+        raise BadBlockSize(
+            f"entrywise mode moves one element per transfer, got "
+            f"{block_elems} elements"
+        )
+    if block_elems > 1 << (mem_log2 - 1):
         raise BadBlockSize(
             f"blocked mode needs S <= 2**(B-1) = {1 << (mem_log2 - 1)} "
             f"elements, got {block_elems}"
@@ -221,8 +225,6 @@ def _execute(ds: DatasetFile, plan: PassPlan, resume: bool) -> ExternalRunReport
         try:
             if disk_pass.stage is None:
                 _initial_pass(ds, plan)
-            elif plan.mode == ExternalMode.ENTRYWISE:
-                _entrywise_stage_pass(ds, disk_pass.stage)
             else:
                 _blocked_stage_pass(ds, disk_pass.stage, plan.io_block_elems)
             ds.flush()
@@ -239,38 +241,21 @@ def _initial_pass(ds: DatasetFile, plan: PassPlan) -> None:
     """Superblock WHTs covering stages 0 .. B-1 (all stages when n <= B)."""
     n = plan.log2_dim
     super_elems = min(1 << plan.mem_log2, 1 << n)
-    exact = ds.element_kind == "int64"
     for start in range(0, 1 << n, super_elems):
         block = ds.read_block(start, super_elems)
-        if exact:
-            # The original data streams by exactly once here, so this is
-            # where the whole-transform magnitude bound gets enforced.
-            magnitude = max(int(block.max()), -int(block.min()))
-            if magnitude << n >= _INT64_LIMIT:
-                raise OverflowBoundError(
-                    f"max |x| = {magnitude} with n = {n} can overflow int64"
-                )
+        # The original data streams by exactly once here, so this is where
+        # the whole-transform magnitude bound gets enforced.
+        check_magnitude_bound(block, n)
         fwht_array(block)
         ds.write_block(start, block)
 
 
-def _entrywise_stage_pass(ds: DatasetFile, stage: int) -> None:
-    """Stage k via single-element I/O with the low-bits skip rule."""
-    n = ds.log2_dim
-    j = 1 << stage
-    pt = 0
-    for _ in range(1 << (n - 1)):
-        a = ds.read_element(pt)
-        b = ds.read_element(pt + j)
-        ds.write_element(pt, a + b)
-        ds.write_element(pt + j, a - b)
-        pt += 1
-        if pt & (j - 1) == 0:  # LSB_k(pt) == 0: skip over the partner run
-            pt += j
-
-
 def _blocked_stage_pass(ds: DatasetFile, stage: int, block_elems: int) -> None:
-    """Stage k via paired S-element blocks from disjoint file regions."""
+    """Stage k via paired S-element blocks from disjoint file regions.
+
+    With S = 1 the loop order is the entry-wise skip rule: pt runs over
+    the indices whose bit k is clear, each paired with pt + 2**k.
+    """
     n = ds.log2_dim
     j = 1 << stage
     for base in range(0, 1 << n, j << 1):

@@ -8,6 +8,7 @@ equivalence at desk scale.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_criterion_04_external_equivalence(tmp_path):
         dataset.write_signal(path, data)
         with dataset.open_validated(path) as ds:
             external.run_external_blocked(ds, 10, io_block_elems=s)
-        outputs.append(open(path, "rb").read())
+        outputs.append(Path(path).read_bytes())
     ok &= outputs[0] == outputs[1] == outputs[2]
 
     # Restart after an injected kill reproduces the uninterrupted result.
@@ -305,7 +306,7 @@ def test_criterion_11_end_to_end_cli(tmp_path, capsys):
     code = run(["extract", "--in", noisy_path, "--threshold", str(tau),
                 "--out", str(tmp_path / "noisy_hits.csv")])
     ok &= code == 0
-    rows = open(tmp_path / "noisy_hits.csv").read().strip().splitlines()[1:]
+    rows = (tmp_path / "noisy_hits.csv").read_text().strip().splitlines()[1:]
     got_noisy = {int(r.split(",")[0]): int(r.split(",")[1]) for r in rows}
     sigma_walsh = sigma * math.sqrt(2**n)
     ok &= set(got_noisy) == set(support)
@@ -317,7 +318,7 @@ def test_criterion_11_end_to_end_cli(tmp_path, capsys):
     code = run(["extract", "--in", clean_path, "--threshold", str(tau),
                 "--out", str(tmp_path / "clean_hits.csv")])
     ok &= code == 0
-    rows = open(tmp_path / "clean_hits.csv").read().strip().splitlines()[1:]
+    rows = (tmp_path / "clean_hits.csv").read_text().strip().splitlines()[1:]
     got_clean = {int(r.split(",")[0]): int(r.split(",")[1]) for r in rows}
     ok &= got_clean == support
 

@@ -3,6 +3,7 @@ generate/transform/extract pipeline."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestGen:
                          "--noise", "rademacher", "--sigma", "1", "--out", out]
             )
             assert code == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_json_output(self, capsys, tmp_path):
         out = str(tmp_path / "sig.bin")
@@ -140,7 +141,7 @@ class TestTransform:
         assert run(["transform", "ext", "--in", ext_path, "--mem-log2", "6",
                     "--mode", "blocked", "--io-block-bytes", "128"]) == 0
         capsys.readouterr()
-        assert open(mem_path, "rb").read() == open(ext_path, "rb").read()
+        assert Path(mem_path).read_bytes() == Path(ext_path).read_bytes()
         assert dataset.read_signal(mem_path)[2] == "walsh"
         assert dataset.read_signal(ext_path)[2] == "walsh"
 
@@ -153,7 +154,7 @@ class TestTransform:
         assert run(["transform", "mem", "--in", a]) == 0
         assert run(["transform", "mem", "--in", b, "--threads", "4"]) == 0
         capsys.readouterr()
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_mem_bad_thread_count(self, capsys, tmp_path):
         path = str(tmp_path / "sig.bin")
@@ -174,6 +175,20 @@ class TestTransform:
         assert code == 0
         expected = fwht_inplace(Signal(data.copy())).data
         assert np.array_equal(dataset.read_signal(path)[0], expected)
+
+    def test_ext_entrywise_rejects_block_size(self, capsys, tmp_path):
+        path = str(tmp_path / "sig.bin")
+        data = np.arange(1 << 8, dtype=np.int64)
+        dataset.write_signal(path, data)
+        code, _, err = run_capture(
+            capsys, ["transform", "ext", "--in", path, "--mem-log2", "6",
+                     "--mode", "entrywise", "--io-block-bytes", "64"]
+        )
+        assert code == 1
+        assert "--io-block-bytes" in err
+        arr, _, domain = dataset.read_signal(path)
+        assert domain == "time"
+        assert np.array_equal(arr, data)
 
     def test_double_transform_refused(self, capsys, tmp_path):
         path = str(tmp_path / "sig.bin")
@@ -310,7 +325,7 @@ class TestIobenchCli:
                      "--blocks", "256K,1M", "--csv", csv_path, "--no-raw"]
         )
         assert code == 0
-        lines = open(csv_path).read().strip().splitlines()
+        lines = Path(csv_path).read_text().strip().splitlines()
         assert lines[0] == "block_bytes,seconds,mbps"
         assert len(lines) == 3
 

@@ -3,6 +3,7 @@ with the in-memory transform, per-pass I/O accounting, and restart after
 an injected failure."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,9 @@ class TestPlan:
         with pytest.raises(BadBlockSize):
             plan_external(12, 8, ExternalMode.BLOCKED, 8 << 8)
         plan_external(12, 8, ExternalMode.BLOCKED, 8 << 7)
+        # Entry-wise is the stage pass with S = 1 and nothing else.
+        with pytest.raises(BadBlockSize):
+            plan_external(12, 8, ExternalMode.ENTRYWISE, 16)
 
     def test_io_volume(self):
         assert pass_io_volume(plan_external(32, 30, ExternalMode.BLOCKED, 4096)) \
@@ -105,6 +109,36 @@ class TestEntrywise:
             run_external_entrywise(ds, 6)
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, expected)
+
+
+def skip_rule_ops(n, b):
+    """Operations of the paper's entry-wise loop: pass 0 moves whole
+    superblocks, then stage k walks pt over the indices with bit k clear
+    (the low-bits skip rule) and reads, then writes, pt and pt + 2**k."""
+    ops = []
+    for start in range(0, 1 << n, 1 << b):
+        ops += [("read", start, 1 << b), ("write", start, 1 << b)]
+    for stage in range(b, n):
+        j = 1 << stage
+        pt = 0
+        for _ in range(1 << (n - 1)):
+            ops += [("read", pt, 1), ("read", pt + j, 1),
+                    ("write", pt, 1), ("write", pt + j, 1)]
+            pt += 1
+            if pt & (j - 1) == 0:  # LSB_k(pt) == 0: skip over the partner run
+                pt += j
+    return ops
+
+
+class TestEntrywiseAccessPattern:
+    def test_matches_skip_rule_loop(self, tmp_path):
+        n, b = 6, 3
+        path, _ = make_dataset(tmp_path, n)
+        ops = []
+        with dataset.open_validated(path) as ds:
+            ds.fault_hook = lambda op, start, count: ops.append((op, start, count))
+            run_external_entrywise(ds, b)
+        assert ops == skip_rule_ops(n, b)
 
 
 class TestBlocked:
@@ -167,7 +201,7 @@ class TestModesAgree:
                 run_external_entrywise(ds, b)
             with dataset.open_validated(path_b) as ds:
                 run_external_blocked(ds, b, io_block_elems=1 << 4)
-            assert open(path_e, "rb").read() == open(path_b, "rb").read()
+            assert Path(path_e).read_bytes() == Path(path_b).read_bytes()
 
 
 class TestAccounting:

@@ -2,6 +2,8 @@
 commutation identity (checked against the transform itself), and the
 fleet-coverage simulation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -250,7 +252,7 @@ class TestMapFiles:
         lmap = LinearMap(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
         path = str(tmp_path / "map.txt")
         save_map(lmap, path)
-        assert open(path).read() == "101\n011\n"
+        assert Path(path).read_text() == "101\n011\n"
 
     def test_malformed_rejected(self, tmp_path):
         path = str(tmp_path / "bad.txt")
