@@ -64,6 +64,27 @@ def _adopt_if_forced(ctx, path: str, assumed_domain: str) -> None:
               f"{assumed_domain} domain")
 
 
+def _open_settled(path: str) -> dataset.DatasetFile:
+    """Open a dataset, refusing one an interrupted external transform left
+    partly transformed: its payload is neither signal nor spectrum."""
+    ds = dataset.open_validated(path)
+    marker = ds.progress_marker
+    if marker is not None:
+        ds.close()
+        raise BadArguments(
+            f"{path} has an interrupted external transform "
+            f"({marker.get('passes_done')}/{marker.get('total_passes')} "
+            f"passes done); finish it with 'bigwht transform ext --resume'"
+        )
+    return ds
+
+
+def _read_settled(path: str) -> tuple[np.ndarray, str, str]:
+    """Like dataset.read_signal, through _open_settled."""
+    with _open_settled(path) as ds:
+        return ds.read_block(0, ds.dim), ds.element_kind, ds.domain
+
+
 # -- gen ------------------------------------------------------------------
 
 
@@ -149,22 +170,18 @@ def transform():
 def transform_mem(ctx, in_path, threads):
     """Load the whole dataset, transform in memory, write it back."""
     _adopt_if_forced(ctx, in_path, "time")
-    arr, kind, domain = dataset.read_signal(in_path)
-    if domain != "time":
-        raise BadArguments(f"{in_path} is already in the {domain} domain")
-    sig = Signal(arr, Domain.TIME)
-    if threads == 1:
-        fwht_inplace(sig)
-    else:
-        p = log2_workers_for(threads)
-        run_parallel(sig, plan_parallel(sig.log2_dim, p))
-    ds = dataset.open_validated(in_path)
-    try:
+    with _open_settled(in_path) as ds:
+        if ds.domain != "time":
+            raise BadArguments(f"{in_path} is already in the {ds.domain} domain")
+        sig = Signal(ds.read_block(0, ds.dim), Domain.TIME)
+        if threads == 1:
+            fwht_inplace(sig)
+        else:
+            p = log2_workers_for(threads)
+            run_parallel(sig, plan_parallel(sig.log2_dim, p))
         ds.write_block(0, sig.data)
         ds.flush()
         ds.set_domain("walsh")
-    finally:
-        ds.close()
     payload = {"in": in_path, "n": sig.log2_dim, "threads": threads}
     if ctx.obj["json"]:
         _emit_json(ctx, "transform mem", payload)
@@ -241,11 +258,11 @@ def oracle(ctx, in_path, out_path, expect_path, limit):
     if out_path is None and expect_path is None:
         raise click.UsageError("need --out and/or --expect")
     _adopt_if_forced(ctx, in_path, "time")
-    arr, kind, domain = dataset.read_signal(in_path)
+    arr, kind, domain = _read_settled(in_path)
     result = wht_bruteforce(Signal(arr, Domain.TIME), limit=limit)
     matches = None
     if expect_path is not None:
-        other, _, _ = dataset.read_signal(expect_path)
+        other, _, _ = _read_settled(expect_path)
         matches = bool(np.array_equal(result.data, other))
     if out_path is not None:
         dataset.write_signal(out_path, result.data, domain="walsh")
@@ -308,7 +325,7 @@ def extract(ctx, in_path, threshold, out_path):
 def snr(ctx, in_path, sigma):
     """Signal-to-noise report for a clean signal against noise level sigma."""
     _adopt_if_forced(ctx, in_path, "time")
-    arr, kind, domain = dataset.read_signal(in_path)
+    arr, kind, domain = _read_settled(in_path)
     sig = Signal(arr, Domain.WALSH if domain == "walsh" else Domain.TIME)
     report = noisy.snr(sig, sigma)
     payload = {
@@ -493,7 +510,7 @@ def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed)
 def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
     """Fold a signal through a GF(2) linear reduction (one streaming pass)."""
     _adopt_if_forced(ctx, in_path, "time")
-    ds = dataset.open_validated(in_path)
+    ds = _open_settled(in_path)
     try:
         if gen_dout is not None:
             if os.path.exists(matrix_path):

@@ -5,6 +5,10 @@ payload stays mmap-friendly and readable by any tool) plus a JSON sidecar
 ``<path>.meta.json`` carrying log2_dim, element_kind, domain and
 format_version. The sidecar also hosts the pass-progress marker used to
 restart interrupted external transforms.
+
+Writes are synced behind: once SYNC_BEHIND_BYTES have been written since
+the last sync, a background thread writes them back with fdatasync while
+the caller goes on, so ``flush`` waits only for the tail.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import mmap
 import os
 import shutil
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,6 +37,8 @@ ELEMENT_BYTES = 8
 FORMAT_VERSION = 1
 ALIGN_ENV = "BIGWHT_IO_ALIGN"
 DEFAULT_ALIGNMENT = 4096
+# Unsynced bytes after which write_block starts a background fdatasync.
+SYNC_BEHIND_BYTES = 8 << 20
 
 _DTYPES = {"int64": np.dtype("<i8"), "float64": np.dtype("<f8")}
 _DOMAINS = ("time", "walsh")
@@ -130,7 +137,9 @@ class DatasetFile:
     """Handle to an on-disk signal; confine each handle to one thread.
 
     ``fault_hook``, when set, is called as hook(op, start, count) before
-    every I/O operation and may raise to simulate failures.
+    every I/O operation and may raise to simulate failures. It always runs
+    on the caller's thread; only the background fdatasync runs on the
+    handle's one sync worker, which ``close`` shuts down.
     """
 
     def __init__(self, path: str, meta: dict, direct: bool = False):
@@ -139,6 +148,9 @@ class DatasetFile:
         self.direct = direct
         self.stats = IoStats()
         self.fault_hook = None
+        self._unsynced = 0
+        self._syncer: ThreadPoolExecutor | None = None  # made on first use
+        self._sync = None  # Future of the running background fdatasync
         self._expected_bytes = ELEMENT_BYTES << self.log2_dim
         actual = os.path.getsize(path)
         if actual != self._expected_bytes:
@@ -195,12 +207,22 @@ class DatasetFile:
         self._meta["domain"] = domain
         _write_sidecar(self.path, self._meta)
 
-    def set_progress_marker(self, marker: dict | None) -> None:
-        """Atomically record (or clear) external-transform pass progress."""
+    def set_progress_marker(
+        self, marker: dict | None, domain: str | None = None
+    ) -> None:
+        """Atomically record (or clear) external-transform pass progress.
+
+        A ``domain`` changes in the same sidecar write, so no crash can
+        leave the marker cleared but the domain not yet flipped.
+        """
+        if domain is not None and domain not in _DOMAINS:
+            raise BadArguments(f"bad domain {domain!r}")
         if marker is None:
             self._meta.pop("pass_progress", None)
         else:
             self._meta["pass_progress"] = marker
+        if domain is not None:
+            self._meta["domain"] = domain
         _write_sidecar(self.path, self._meta)
 
     # -- block I/O --------------------------------------------------------
@@ -237,6 +259,38 @@ class DatasetFile:
         self._move(os.pwritev, memoryview(raw).cast("B"), start * ELEMENT_BYTES, "write")
         self.stats.writes += 1
         self.stats.elements_written += data.shape[0]
+        self._unsynced += raw.nbytes
+        if self._unsynced >= SYNC_BEHIND_BYTES:
+            self._sync_behind()
+
+    def _sync_behind(self) -> None:
+        """Start a background fdatasync of the bytes written so far, unless
+        one is still running (the bytes then wait for the next)."""
+        if self._sync is not None:
+            if not self._sync.done():
+                return
+            self._collect_sync()
+        if self._syncer is None:
+            self._syncer = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="bigwht-sync"
+            )
+        self._unsynced = 0
+        self._sync = self._syncer.submit(os.fdatasync, self._fd)
+
+    def _collect_sync(self) -> None:
+        """Wait for the background sync and raise its error, if any.
+
+        Linux reports a writeback error once per open file, and the
+        background sync may be the call that consumed it, so it must
+        surface here rather than be dropped.
+        """
+        sync, self._sync = self._sync, None
+        if sync is None:
+            return
+        try:
+            sync.result()
+        except OSError as exc:
+            raise IoFailure(f"background fdatasync failed: {exc}") from exc
 
     def _move(self, call, view: memoryview, offset: int, what: str) -> None:
         """Transfer all of ``view`` at byte ``offset`` with ``call``."""
@@ -262,18 +316,28 @@ class DatasetFile:
     # -- lifecycle --------------------------------------------------------
 
     def flush(self) -> None:
+        """Make every byte written so far durable."""
+        self._collect_sync()
         try:
             os.fsync(self._fd)
         except OSError as exc:
             raise IoFailure(f"fsync failed: {exc}") from exc
 
     def close(self) -> None:
-        if self._f is not None:
-            self._f.close()
-        else:
-            os.close(self._fd)
-            self._buf.close()
-        self._fd = -1
+        """Close the file once a running background sync has finished;
+        raises that sync's error, if any, after closing."""
+        try:
+            self._collect_sync()
+        finally:
+            if self._syncer is not None:
+                self._syncer.shutdown()
+                self._syncer = None
+            if self._f is not None:
+                self._f.close()
+            else:
+                os.close(self._fd)
+                self._buf.close()
+            self._fd = -1
 
     def __enter__(self) -> "DatasetFile":
         return self

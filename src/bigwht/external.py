@@ -14,6 +14,14 @@ memory budget. Entry-wise mode is the same pass with S = 1, which is
 the paper's skip-rule loop: read pt, read pt + 2**k, write both, one
 element per operation.
 
+Pass 0 runs each superblock on the thread schedule of ``parallel``, with
+2**p workers for the process's usable CPUs (p = floor(log2 CPUs), capped
+at B - 1; p = 0 is the serial kernel). Reads, the bound check and writes
+stay on the calling thread, in order, so pass 0 holds one 2**B superblock
+plus about 768 KiB of kernel scratch per worker. Meanwhile the dataset
+handle writes back behind the passes on a background sync thread, so the
+flush that ends each pass waits only for the last few megabytes.
+
 After every completed pass the sidecar gains an updated pass-progress
 marker, so an interrupted run can be restarted from the failed pass with
 ``resume=True``. A restart is exact when the interrupted pass had not yet
@@ -26,12 +34,14 @@ writes, and resume refuses it instead of corrupting the data.
 from __future__ import annotations
 
 import enum
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bits import is_power_of_two
 from .core import butterfly, check_magnitude_bound, fwht_array
 from .dataset import ELEMENT_BYTES, DatasetFile
 from .errors import BadArguments, BadBlockSize
+from .parallel import plan_parallel, run_plan, usable_cpus
 
 
 class ExternalMode(enum.Enum):
@@ -232,22 +242,31 @@ def _execute(ds: DatasetFile, plan: PassPlan, resume: bool) -> ExternalRunReport
             ds.fault_hook = sentinel.inner
         ds.set_progress_marker(_marker_for(plan, disk_pass.index + 1))
         executed.append(disk_pass.index)
-    ds.set_progress_marker(None)
-    ds.set_domain("walsh")
+    # One sidecar write: a kill between clearing the marker and flipping
+    # the domain would leave a transformed payload marked "time", and the
+    # next run would transform it again.
+    ds.set_progress_marker(None, domain="walsh")
     return ExternalRunReport(plan=plan, passes_executed=executed, resumed_from=start)
 
 
 def _initial_pass(ds: DatasetFile, plan: PassPlan) -> None:
     """Superblock WHTs covering stages 0 .. B-1 (all stages when n <= B)."""
     n = plan.log2_dim
-    super_elems = min(1 << plan.mem_log2, 1 << n)
-    for start in range(0, 1 << n, super_elems):
-        block = ds.read_block(start, super_elems)
-        # The original data streams by exactly once here, so this is where
-        # the whole-transform magnitude bound gets enforced.
-        check_magnitude_bound(block, n)
-        fwht_array(block)
-        ds.write_block(start, block)
+    b = min(plan.mem_log2, n)
+    p = max(0, min(usable_cpus().bit_length() - 1, b - 1))
+    block_plan = plan_parallel(b, p) if p else None
+    # Threads start on first submit, so the serial case starts none.
+    with ThreadPoolExecutor(max_workers=1 << p) as pool:
+        for start in range(0, 1 << n, 1 << b):
+            block = ds.read_block(start, 1 << b)
+            # The original data streams by exactly once here, so this is
+            # where the whole-transform magnitude bound gets enforced.
+            check_magnitude_bound(block, n)
+            if block_plan is None:
+                fwht_array(block)
+            else:
+                run_plan(block, block_plan, pool)
+            ds.write_block(start, block)
 
 
 def _blocked_stage_pass(ds: DatasetFile, stage: int, block_elems: int) -> None:

@@ -11,7 +11,8 @@ checker below proves it for any concrete plan.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,40 +159,62 @@ def _run_workload(buf: np.ndarray, w: Workload) -> None:
     )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the CPU count, else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_plan(
+    buf: np.ndarray, plan: ParallelPlan, pool: Executor, on_phase_complete=None
+) -> None:
+    """Transform ``buf`` in place by running the plan's phases on ``pool``.
+
+    The buffer is shared mutably across the workers of a phase (safe by
+    index disjointness); a full barrier separates phases. A worker failure
+    propagates as a single exception after the phase drains, leaving the
+    buffer contents unspecified. Checks neither the magnitude bound nor
+    a domain: that is the caller's business.
+    """
+    if buf.shape != (1 << plan.log2_dim,):
+        raise BadArguments(
+            f"plan is for 2**{plan.log2_dim} elements, buffer has shape "
+            f"{buf.shape}"
+        )
+    for phase_idx, phase in enumerate(plan.phases):
+        if phase.stage is None:
+            futures = [
+                pool.submit(_run_chunk, buf, start, length)
+                for start, length in phase.chunks
+            ]
+        else:
+            futures = [pool.submit(_run_workload, buf, w) for w in phase.workloads]
+        errors = []
+        for fut in futures:  # barrier: wait for the whole phase
+            exc = fut.exception()
+            if exc is not None:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
+        if on_phase_complete is not None:
+            on_phase_complete(phase_idx)
+
+
 def run_parallel(sig: Signal, plan: ParallelPlan, on_phase_complete=None) -> Signal:
     """Execute the plan on a worker pool; blocks until done.
 
-    The buffer is shared mutably across the workers of a phase (safe by
-    index disjointness); a full barrier separates phases. Output is
-    bit-identical to the serial transform. A worker failure propagates as
-    a single exception after the phase drains; the buffer contents are
-    then unspecified and the signal must be discarded.
+    Output is bit-identical to the serial transform. A worker failure
+    propagates as a single exception after the phase drains; the signal
+    must then be discarded.
     """
     if plan.log2_dim != sig.log2_dim:
         raise BadArguments(
             f"plan is for n={plan.log2_dim}, signal has n={sig.log2_dim}"
         )
     check_magnitude_bound(sig.data, sig.log2_dim)
-    buf = sig.data
     with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        for phase_idx, phase in enumerate(plan.phases):
-            if phase.stage is None:
-                futures = [
-                    pool.submit(_run_chunk, buf, start, length)
-                    for start, length in phase.chunks
-                ]
-            else:
-                futures = [
-                    pool.submit(_run_workload, buf, w) for w in phase.workloads
-                ]
-            errors = []
-            for fut in futures:  # barrier: wait for the whole phase
-                exc = fut.exception()
-                if exc is not None:
-                    errors.append(exc)
-            if errors:
-                raise errors[0]
-            if on_phase_complete is not None:
-                on_phase_complete(phase_idx)
+        run_plan(sig.data, plan, pool, on_phase_complete)
     sig.domain = Domain.WALSH if sig.domain == Domain.TIME else Domain.TIME
     return sig

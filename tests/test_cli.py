@@ -198,6 +198,69 @@ class TestTransform:
         assert code == 3
 
 
+class TestInterruptedDataset:
+    """A dataset an external transform left between passes is neither
+    signal nor spectrum; only 'transform ext --resume' may touch it."""
+
+    @pytest.fixture
+    def interrupted(self, tmp_path):
+        from bigwht.errors import IoFailure
+        from bigwht.external import run_external_blocked
+        path = str(tmp_path / "sig.bin")
+        rng = np.random.default_rng(12)
+        data = rng.integers(-99, 99, 1 << 10).astype(np.int64)
+        dataset.write_signal(path, data)
+        with dataset.open_validated(path) as ds:
+            reads = {"n": 0}
+
+            def hook(op, start, count):
+                reads["n"] += op == "read"
+                if reads["n"] > 4:  # first read after pass 0's 4 superblocks
+                    raise IoFailure("injected kill")
+
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure):
+                run_external_blocked(ds, 8, io_block_elems=1 << 4)
+        with dataset.open_validated(path) as ds:
+            assert ds.progress_marker["passes_done"] == 1
+            assert ds.progress_marker["writing"] is False
+        return path, data
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "mem", "--in", "{in}"],
+        ["transform", "mem", "--in", "{in}", "--threads", "2"],
+        ["oracle", "--in", "{in}", "--out", "{tmp}/o.bin"],
+        ["oracle", "--in", "{good}", "--expect", "{in}"],
+        ["snr", "--in", "{in}", "--sigma", "1"],
+        ["fold", "--in", "{in}", "--matrix", "{tmp}/m.txt", "--out",
+         "{tmp}/f.bin", "--gen-dout", "4"],
+    ])
+    def test_refused(self, capsys, tmp_path, interrupted, argv):
+        path, _ = interrupted
+        good = str(tmp_path / "good.bin")
+        dataset.write_signal(good, np.arange(1 << 10, dtype=np.int64))
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        argv = [a.format(**{"in": path, "tmp": tmp_path, "good": good})
+                for a in argv]
+        code, _, err = run_capture(capsys, argv)
+        assert code == 3
+        assert "--resume" in err
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
+        assert not (tmp_path / "o.bin").exists()
+        assert not (tmp_path / "f.bin").exists()
+
+    def test_resume_finishes(self, capsys, interrupted):
+        path, data = interrupted
+        assert run(["transform", "ext", "--in", path, "--mem-log2", "8",
+                    "--io-block-bytes", "128", "--resume"]) == 0
+        capsys.readouterr()
+        arr, _, domain = dataset.read_signal(path)
+        assert domain == "walsh"
+        assert np.array_equal(arr, fwht_inplace(Signal(data.copy())).data)
+
+
 class TestOracle:
     def test_expect_match(self, capsys, tmp_path):
         src = str(tmp_path / "src.bin")

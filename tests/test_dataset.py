@@ -1,8 +1,11 @@
 """Dataset format tests: exact sizes, byte-exact round trips, metadata
 consistency, and the error surface."""
 
+import errno
 import json
 import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +266,102 @@ class TestMetadataUpdates:
             ds.set_progress_marker(None)
         with dataset.open_validated(path) as ds:
             assert ds.progress_marker is None
+
+
+    def test_marker_and_domain_in_one_write(self, path, monkeypatch):
+        dataset.create(path, 3, "int64").close()
+        written = []
+        real_write = dataset._write_sidecar
+
+        def record(p, meta):
+            written.append(dict(meta))
+            real_write(p, meta)
+
+        with dataset.open_validated(path) as ds:
+            ds.set_progress_marker({"mode": "blocked", "passes_done": 1})
+            monkeypatch.setattr(dataset, "_write_sidecar", record)
+            with pytest.raises(BadArguments):
+                ds.set_progress_marker(None, domain="frequency")
+            ds.set_progress_marker(None, domain="walsh")
+        assert written == [{"format_version": 1, "log2_dim": 3,
+                            "element_kind": "int64", "domain": "walsh"}]
+        with dataset.open_validated(path) as ds:
+            assert ds.domain == "walsh"
+            assert ds.progress_marker is None
+
+
+class TestSyncBehind:
+    """Writes past SYNC_BEHIND_BYTES start an fdatasync on the handle's
+    sync thread; its failure must reach the caller, never be dropped."""
+
+    @pytest.fixture(autouse=True)
+    def small_threshold(self, monkeypatch):
+        monkeypatch.setattr(dataset, "SYNC_BEHIND_BYTES", 256)
+
+    def test_sync_runs_off_the_caller_thread(self, path, monkeypatch):
+        threads = []
+        real = os.fdatasync
+
+        def fdatasync(fd):
+            threads.append(threading.get_ident())
+            real(fd)
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        with dataset.create(path, 8, "int64") as ds:
+            ds.write_block(0, np.arange(16, dtype=np.int64))  # 128 bytes
+            assert threads == []
+            ds.write_block(16, np.arange(16, dtype=np.int64))
+            ds.flush()
+            assert len(threads) == 1
+            assert threads[0] != threading.get_ident()
+
+    def test_failure_raised_from_flush(self, path, monkeypatch):
+        def fdatasync(fd):
+            raise OSError(errno.EIO, "injected writeback error")
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        with dataset.create(path, 8, "int64") as ds:
+            ds.write_block(0, np.arange(32, dtype=np.int64))
+            with pytest.raises(IoFailure, match="fdatasync"):
+                ds.flush()
+            ds.flush()  # reported once, like the kernel's writeback error
+
+    def test_failure_raised_from_next_write_that_would_sync(self, path, monkeypatch):
+        def fdatasync(fd):
+            raise OSError(errno.EIO, "injected writeback error")
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        block = np.arange(32, dtype=np.int64)
+        with dataset.create(path, 8, "int64") as ds:
+            ds.write_block(0, block)  # starts the failing sync
+            deadline = time.monotonic() + 10
+            with pytest.raises(IoFailure, match="fdatasync"):
+                while time.monotonic() < deadline:
+                    ds.write_block(32, block)
+
+    def test_close_waits_for_running_sync(self, path, monkeypatch):
+        state = {}
+
+        def fdatasync(fd):
+            time.sleep(0.2)
+            os.fstat(fd)  # EBADF if close did not wait
+            state["finished"] = True
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        ds = dataset.create(path, 8, "int64")
+        ds.write_block(0, np.arange(32, dtype=np.int64))
+        ds.close()
+        assert state == {"finished": True}
+
+    def test_close_raises_unreported_failure(self, path, monkeypatch):
+        def fdatasync(fd):
+            raise OSError(errno.EIO, "injected writeback error")
+
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        ds = dataset.create(path, 8, "int64")
+        ds.write_block(0, np.arange(32, dtype=np.int64))
+        with pytest.raises(IoFailure, match="fdatasync"):
+            ds.close()  # the file is closed all the same, or the test leaks
 
 
 class TestHelpers:

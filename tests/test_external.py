@@ -2,7 +2,10 @@
 with the in-memory transform, per-pass I/O accounting, and restart after
 an injected failure."""
 
+import errno
+import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +339,27 @@ class TestRestart:
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, reference)
 
+    def test_no_write_marks_transformed_payload_time(self, tmp_path, monkeypatch):
+        # Once a pass has begun writing, the payload is no longer the
+        # time-domain signal: no sidecar may say "time" without a marker.
+        written = []
+        real_write = dataset._write_sidecar
+
+        def record(p, meta):
+            written.append(json.loads(json.dumps(meta)))
+            real_write(p, meta)
+
+        monkeypatch.setattr(dataset, "_write_sidecar", record)
+        path, _ = make_dataset(tmp_path, 10)
+        with dataset.open_validated(path) as ds:
+            run_external_blocked(ds, 8, io_block_elems=1 << 4)
+        first = next(i for i, m in enumerate(written)
+                     if m.get("pass_progress", {}).get("writing"))
+        for meta in written[first:]:
+            assert "pass_progress" in meta or meta["domain"] == "walsh", meta
+        assert written[-1]["domain"] == "walsh"
+        assert "pass_progress" not in written[-1]
+
     def test_resume_entrywise(self, tmp_path):
         n, b = 10, 8
         path, data = make_dataset(tmp_path, n, seed=23)
@@ -359,6 +383,120 @@ class TestRestart:
             run_external_entrywise(ds, b, resume=True)
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, reference)
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def random_data(n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if dtype == np.int64:
+        return rng.integers(-(1 << 20), 1 << 20, 1 << n).astype(np.int64)
+    return rng.normal(size=1 << n)
+
+
+class TestThreadedPassZero:
+    """Pass 0 runs each superblock on 2**p threads, p = floor(log2 CPUs)
+    capped at B - 1; the bytes and the I/O sequence must not change."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("n, b, s", [(12, 8, 1 << 4), (18, 17, 1 << 16),
+                                         (6, 1, 1)])
+    def test_byte_identical(self, tmp_path, monkeypatch, cpus, dtype, n, b, s):
+        set_cpus(monkeypatch, cpus)
+        plans = []
+        real_run_plan = external.run_plan
+
+        def spy(buf, plan, pool, on_phase_complete=None):
+            plans.append(plan.log2_workers)
+            real_run_plan(buf, plan, pool, on_phase_complete)
+
+        monkeypatch.setattr(external, "run_plan", spy)
+        data = random_data(n, dtype, seed=n + b)
+        path, _ = make_dataset(tmp_path, n, data=data)
+        expected = data.copy()
+        fwht_array(expected)
+        with dataset.open_validated(path) as ds:
+            run_external_blocked(ds, b, io_block_elems=s)
+        got, _, _ = dataset.read_signal(path)
+        assert got.tobytes() == expected.tobytes()
+        p = min(cpus.bit_length() - 1, b - 1)
+        assert plans == ([p] * (1 << (n - b)) if p else [])
+
+    def test_io_sequence_unchanged(self, tmp_path, monkeypatch):
+        n, b = 12, 8
+        sequences = []
+        for cpus in (1, 4):
+            set_cpus(monkeypatch, cpus)
+            path, _ = make_dataset(tmp_path, n, seed=3, name=f"c{cpus}.bin")
+            ops = []
+            with dataset.open_validated(path) as ds:
+                ds.fault_hook = lambda op, start, count: ops.append((op, start, count))
+                run_external_blocked(ds, b, io_block_elems=1 << 4)
+            sequences.append(ops)
+        pass0 = []
+        for start in range(0, 1 << n, 1 << b):
+            pass0 += [("read", start, 1 << b), ("write", start, 1 << b)]
+        assert sequences[1][: len(pass0)] == pass0
+        assert sequences[0] == sequences[1]
+
+    def test_usable_cpus(self, monkeypatch):
+        from bigwht.parallel import usable_cpus
+        set_cpus(monkeypatch, 4)
+        assert usable_cpus() == 4
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert usable_cpus() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+
+
+class TestSyncBehind:
+    """The engine under dataset's background writeback syncs."""
+
+    @pytest.fixture(autouse=True)
+    def small_threshold(self, monkeypatch):
+        monkeypatch.setattr(dataset, "SYNC_BEHIND_BYTES", 1024)
+
+    def test_failed_sync_fails_the_pass(self, tmp_path, monkeypatch):
+        def fdatasync(fd):
+            raise OSError(errno.EIO, "injected writeback error")
+
+        path, _ = make_dataset(tmp_path, 12)
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        with dataset.open_validated(path) as ds:
+            with pytest.raises(IoFailure, match="fdatasync"):
+                run_external_blocked(ds, 8, io_block_elems=1 << 4)
+        with dataset.open_validated(path) as ds:
+            assert ds.progress_marker["passes_done"] == 0
+            assert ds.progress_marker["writing"] is True
+            with pytest.raises(BadArguments, match="writes began"):
+                run_external_blocked(ds, 8, io_block_elems=1 << 4, resume=True)
+
+    def test_fault_hook_on_callers_thread(self, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        sync_threads = []
+        real = os.fdatasync
+
+        def fdatasync(fd):
+            sync_threads.append(threading.get_ident())
+            real(fd)
+
+        path, data = make_dataset(tmp_path, 12)
+        monkeypatch.setattr(os, "fdatasync", fdatasync)
+        hook_threads = set()
+        with dataset.open_validated(path) as ds:
+            ds.fault_hook = lambda op, start, count: hook_threads.add(
+                threading.get_ident())
+            run_external_blocked(ds, 8, io_block_elems=1 << 4)
+        assert hook_threads == {threading.get_ident()}
+        assert sync_threads and threading.get_ident() not in sync_threads
+        expected = data.copy()
+        fwht_array(expected)
+        assert np.array_equal(dataset.read_signal(path)[0], expected)
 
 
 class TestOverflowGuard:
