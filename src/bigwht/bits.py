@@ -9,13 +9,6 @@ def is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-def exact_log2(value: int) -> int:
-    """log2 of an exact power of two; ValueError otherwise."""
-    if not is_power_of_two(value):
-        raise ValueError(f"{value} is not a power of two")
-    return value.bit_length() - 1
-
-
 def parity_array(values: np.ndarray) -> np.ndarray:
     """Per-element popcount parity (0 or 1) of a nonnegative int64 array."""
     return (np.bitwise_count(values) & 1).astype(np.int64)

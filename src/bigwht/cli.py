@@ -18,10 +18,9 @@ import numpy as np
 
 from . import __version__
 from . import dataset, external, iobench, noisy, perfmodel, subspace
-from .core import Domain, Signal, fwht_inplace, wht_bruteforce, ORACLE_LIMIT_DEFAULT
+from .core import Domain, Signal, wht_bruteforce, ORACLE_LIMIT_DEFAULT
 from .errors import BigWHTError, BadArguments
 from .noisy import NoiseKind, NoisySignalSpec
-from .parallel import log2_workers_for, plan_parallel, run_parallel
 
 JSON_SCHEMA_VERSION = 1
 
@@ -71,10 +70,15 @@ def _open_settled(path: str) -> dataset.DatasetFile:
     marker = ds.progress_marker
     if marker is not None:
         ds.close()
+        if marker.get("writing"):
+            hint = ("its payload is partly transformed and must be rebuilt "
+                    "from its source")
+        else:
+            hint = "finish it with 'bigwht transform ext --resume'"
         raise BadArguments(
             f"{path} has an interrupted external transform "
             f"({marker.get('passes_done')}/{marker.get('total_passes')} "
-            f"passes done); finish it with 'bigwht transform ext --resume'"
+            f"passes done); {hint}"
         )
     return ds
 
@@ -164,29 +168,18 @@ def transform():
 
 @transform.command("mem")
 @click.option("--in", "in_path", required=True, help="Dataset to transform.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads; must be a power of two.")
 @click.pass_context
-def transform_mem(ctx, in_path, threads):
-    """Load the whole dataset, transform in memory, write it back."""
+def transform_mem(ctx, in_path):
+    """Transform the whole dataset in memory: the one-pass external plan."""
     _adopt_if_forced(ctx, in_path, "time")
     with _open_settled(in_path) as ds:
-        if ds.domain != "time":
-            raise BadArguments(f"{in_path} is already in the {ds.domain} domain")
-        sig = Signal(ds.read_block(0, ds.dim), Domain.TIME)
-        if threads == 1:
-            fwht_inplace(sig)
-        else:
-            p = log2_workers_for(threads)
-            run_parallel(sig, plan_parallel(sig.log2_dim, p))
-        ds.write_block(0, sig.data)
-        ds.flush()
-        ds.set_domain("walsh")
-    payload = {"in": in_path, "n": sig.log2_dim, "threads": threads}
+        n = ds.log2_dim
+        external.run_external_blocked(ds, max(n, 1))
+    payload = {"in": in_path, "n": n}
     if ctx.obj["json"]:
         _emit_json(ctx, "transform mem", payload)
     else:
-        _say(ctx, f"transformed {in_path} in memory (threads={threads})")
+        _say(ctx, f"transformed {in_path} in memory")
 
 
 @transform.command("ext")
@@ -585,9 +578,6 @@ def run(argv=None) -> int:
     try:
         cli.main(args=argv, prog_name="bigwht", standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -4,7 +4,8 @@ The schedule is q = n - B + 1 disk passes: pass 0 transforms each
 contiguous superblock of 2**B elements in memory (covering butterfly
 stages 0 .. B-1), then each remaining pass performs one stage
 k = B .. n-1 directly against the file. Every pass reads and writes each
-dataset byte exactly once.
+dataset byte exactly once. With B >= n the plan is the single pass 0 over
+one superblock, the whole dataset: that is the CLI's in-memory transform.
 
 One stage-pass executor serves both modes: it pairs runs of S elements
 at matching offsets 2**k apart, butterflies them and writes them back.
@@ -22,13 +23,17 @@ plus about 768 KiB of kernel scratch per worker. Meanwhile the dataset
 handle writes back behind the passes on a background sync thread, so the
 flush that ends each pass waits only for the last few megabytes.
 
-After every completed pass the sidecar gains an updated pass-progress
-marker, so an interrupted run can be restarted from the failed pass with
-``resume=True``. A restart is exact when the interrupted pass had not yet
-written (it failed on a read, or the process died between passes). A pass
-killed after its writes began cannot be re-run -- butterflies are not
-idempotent -- so the sidecar flags that state the moment a pass first
-writes, and resume refuses it instead of corrupting the data.
+No marker is written before the run's first payload write, so a run
+that is refused or fails before then (say, on the first superblock's
+read or bound check) leaves the sidecar as it was and can simply be
+rerun. After every completed pass the sidecar gains an updated
+pass-progress marker, so an interrupted run can be restarted from the
+failed pass with ``resume=True``. A restart is exact when the
+interrupted pass had not yet written (it failed on a read, or the
+process died between passes). A pass killed after its writes began
+cannot be re-run -- butterflies are not idempotent -- so the sidecar
+flags that state the moment a pass first writes, and resume refuses it
+instead of corrupting the data.
 """
 
 from __future__ import annotations
@@ -226,8 +231,6 @@ class _FirstWriteSentinel:
 
 def _execute(ds: DatasetFile, plan: PassPlan, resume: bool) -> ExternalRunReport:
     start = _start_pass_index(ds, plan, resume)
-    if start == 0:
-        ds.set_progress_marker(_marker_for(plan, 0))
     executed = []
     for disk_pass in plan.passes[start:]:
         sentinel = _FirstWriteSentinel(ds, plan, disk_pass.index)

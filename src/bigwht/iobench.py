@@ -13,11 +13,13 @@ import hashlib
 import mmap
 import os
 import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataset
 from .errors import BadArguments, DiskFull, IoFailure
 
 # Single transfers above 1 GiB are capped and chunked internally; very
@@ -114,55 +116,35 @@ class IoBenchReport:
         return "\n".join(lines) + "\n"
 
 
-class _Files:
-    """Open/read/write helper that hides the direct-I/O fallback."""
-
-    def __init__(self, direct: bool):
-        self.direct = direct
-        self.warnings: list[str] = []
-
-    def open_read(self, path: str) -> int:
-        return self._open(path, os.O_RDONLY)
-
-    def open_write(self, path: str) -> int:
-        return self._open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
-
-    def _open(self, path: str, flags: int) -> int:
-        if self.direct and hasattr(os, "O_DIRECT"):
-            try:
-                return os.open(path, flags | os.O_DIRECT)
-            except OSError as exc:
-                self.direct = False
-                self.warnings.append(
-                    f"direct I/O unavailable ({exc}); fell back to buffered"
-                )
-        elif self.direct:
-            self.direct = False
-            self.warnings.append(
-                "direct I/O not supported on this platform; fell back to buffered"
-            )
+def _open(path: str, flags: int, direct: bool, warnings: list[str]) -> int:
+    """os.open, with O_DIRECT when ``direct``; where direct I/O is
+    unavailable, falls back to buffered and says so in ``warnings``."""
+    if direct and hasattr(os, "O_DIRECT"):
         try:
-            return os.open(path, flags)
+            return os.open(path, flags | os.O_DIRECT)
         except OSError as exc:
-            raise IoFailure(f"open {path}: {exc}") from exc
-
-
-def _alloc_buffer(nbytes: int) -> mmap.mmap:
-    # mmap gives page-aligned memory, satisfying O_DIRECT's buffer rule.
-    return mmap.mmap(-1, nbytes)
+            warnings.append(
+                f"direct I/O unavailable ({exc}); fell back to buffered"
+            )
+    elif direct:
+        warnings.append(
+            "direct I/O not supported on this platform; fell back to buffered"
+        )
+    try:
+        return os.open(path, flags)
+    except OSError as exc:
+        raise IoFailure(f"open {path}: {exc}") from exc
 
 
 def _fill_source(path: str, nbytes: int, seed: int) -> None:
     """Write ``nbytes`` of seeded pseudorandom data and fsync it."""
     rng = np.random.default_rng(seed)
-    chunk = min(nbytes, 8 << 20)
+    chunk = 8 << 20
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
     try:
-        remaining = nbytes
-        while remaining:
-            step = min(chunk, remaining)
-            os.write(fd, rng.bytes(step))
-            remaining -= step
+        for offset in range(0, nbytes, chunk):
+            data = memoryview(rng.bytes(min(chunk, nbytes - offset)))
+            dataset._transfer(fd, os.pwritev, data, offset, "write")
         os.fsync(fd)
     finally:
         os.close(fd)
@@ -187,6 +169,44 @@ def _check_scratch(directory: str, needed: int) -> None:
         )
 
 
+def _stream(src: str | None, dst: str | None, nbytes: int, transfer: int,
+            direct: bool, warnings: list[str]) -> float:
+    """Time moving ``nbytes`` in ``transfer``-byte chunks through the
+    dataset layer's transfer loop.
+
+    Each chunk is read from ``src`` when given and written to ``dst`` when
+    given, so one call is a copy, a read to nowhere or a write of a 0xA5
+    pattern; the write side is fsynced. The clock runs from the first open
+    to the last close. Once an open has fallen back to buffered I/O, the
+    other does too.
+    """
+    # mmap gives page-aligned memory, satisfying O_DIRECT's buffer rule.
+    buf = mmap.mmap(-1, transfer)
+    if src is None:
+        buf[:] = b"\xa5" * transfer
+    view = memoryview(buf)
+    ends = []  # (fd, call, what) for each side given
+    started = time.perf_counter()
+    try:
+        for path, flags, call, what in (
+            (src, os.O_RDONLY, os.preadv, "read"),
+            (dst, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, os.pwritev, "write"),
+        ):
+            if path is not None:
+                fd = _open(path, flags, direct and not warnings, warnings)
+                ends.append((fd, call, what))
+        for offset in range(0, nbytes, transfer):
+            chunk = view[: min(transfer, nbytes - offset)]
+            for fd, call, what in ends:
+                dataset._transfer(fd, call, chunk, offset, what)
+        if dst is not None:
+            os.fsync(ends[-1][0])
+    finally:
+        for fd, _, _ in ends:
+            os.close(fd)
+    return time.perf_counter() - started
+
+
 def measure_copy(
     directory: str,
     file_bytes: int,
@@ -205,118 +225,41 @@ def measure_copy(
     _check_scratch(directory, 2 * file_bytes)
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "little")
-    src = os.path.join(directory, f"iobench_src_{block_bytes}_{os.getpid()}.bin")
-    dst = os.path.join(directory, f"iobench_dst_{block_bytes}_{os.getpid()}.bin")
     transfer = min(block_bytes, MAX_TRANSFER_BYTES)
-    capped = transfer if transfer != block_bytes else None
-    files = _Files(direct_io)
-    try:
+    warnings: list[str] = []
+    with tempfile.TemporaryDirectory(prefix="iobench_", dir=directory,
+                                     ignore_cleanup_errors=True) as tmp:
+        src, dst = os.path.join(tmp, "src"), os.path.join(tmp, "dst")
         _fill_source(src, file_bytes, seed)
-        buf = _alloc_buffer(transfer)
-        view = memoryview(buf)
-        started = time.perf_counter()
-        rfd = files.open_read(src)
-        wfd = files.open_write(dst)
-        try:
-            remaining = file_bytes
-            while remaining:
-                step = min(transfer, remaining)
-                got = os.readv(rfd, [view[:step]])
-                if got <= 0:
-                    raise IoFailure(
-                        f"read returned {got} at byte {file_bytes - remaining}"
-                    )
-                written = os.writev(wfd, [view[:got]])
-                if written != got:
-                    raise IoFailure(
-                        f"short write at byte {file_bytes - remaining}"
-                    )
-                remaining -= got
-            os.fsync(wfd)
-        finally:
-            os.close(rfd)
-            os.close(wfd)
-        seconds = time.perf_counter() - started
+        seconds = _stream(src, dst, file_bytes, transfer, direct_io, warnings)
         if _sha256(src) != _sha256(dst):
             raise IoFailure(f"copy of {src} is not byte-identical")
-        transfers = -(-file_bytes // block_bytes)  # ceil
-        return CopyMeasurement(
-            block_bytes=block_bytes,
-            seconds=seconds,
-            mbps=file_bytes / seconds / _MB,
-            transfers=transfers,
-            direct_io=files.direct,
-            capped_transfer_bytes=capped,
-            warnings=files.warnings,
-        )
-    finally:
-        for path in (src, dst):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    return CopyMeasurement(
+        block_bytes=block_bytes,
+        seconds=seconds,
+        mbps=file_bytes / seconds / _MB,
+        transfers=-(-file_bytes // block_bytes),  # ceil
+        direct_io=direct_io and not warnings,
+        capped_transfer_bytes=transfer if transfer != block_bytes else None,
+        warnings=warnings,
+    )
 
 
-def _measure_read(directory: str, file_bytes: int, block_bytes: int,
-                  direct_io: bool, seed: int) -> tuple[float, list[str]]:
-    """dd-style read speed: stream a fresh file to nowhere."""
-    path = os.path.join(directory, f"iobench_rd_{block_bytes}_{os.getpid()}.bin")
+def _measure_raw(directory: str, file_bytes: int, block_bytes: int,
+                 direct_io: bool, seed: int,
+                 warnings: list[str]) -> tuple[float, float]:
+    """dd-style read and write speeds in MB/s: a fresh file streamed to
+    nowhere, then a new file written with a pattern and fsynced. Direct
+    I/O fallback notes go to ``warnings``."""
     transfer = min(block_bytes, MAX_TRANSFER_BYTES)
-    files = _Files(direct_io)
-    try:
-        _fill_source(path, file_bytes, seed)
-        buf = _alloc_buffer(transfer)
-        view = memoryview(buf)
-        started = time.perf_counter()
-        fd = files.open_read(path)
-        try:
-            remaining = file_bytes
-            while remaining:
-                got = os.readv(fd, [view[: min(transfer, remaining)]])
-                if got <= 0:
-                    raise IoFailure(f"read returned {got}")
-                remaining -= got
-        finally:
-            os.close(fd)
-        seconds = time.perf_counter() - started
-        return file_bytes / seconds / _MB, files.warnings
-    finally:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-
-def _measure_write(directory: str, file_bytes: int, block_bytes: int,
-                   direct_io: bool) -> tuple[float, list[str]]:
-    """dd-style write speed: pattern blocks plus a final fdatasync."""
-    path = os.path.join(directory, f"iobench_wr_{block_bytes}_{os.getpid()}.bin")
-    transfer = min(block_bytes, MAX_TRANSFER_BYTES)
-    files = _Files(direct_io)
-    try:
-        buf = _alloc_buffer(transfer)
-        buf.write(b"\xa5" * transfer)
-        view = memoryview(buf)
-        started = time.perf_counter()
-        fd = files.open_write(path)
-        try:
-            remaining = file_bytes
-            while remaining:
-                step = min(transfer, remaining)
-                written = os.writev(fd, [view[:step]])
-                if written != step:
-                    raise IoFailure("short write")
-                remaining -= step
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        seconds = time.perf_counter() - started
-        return file_bytes / seconds / _MB, files.warnings
-    finally:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+    with tempfile.TemporaryDirectory(prefix="iobench_", dir=directory,
+                                     ignore_cleanup_errors=True) as tmp:
+        rd, wr = os.path.join(tmp, "rd"), os.path.join(tmp, "wr")
+        _fill_source(rd, file_bytes, seed)
+        read_s = _stream(rd, None, file_bytes, transfer, direct_io, warnings)
+        os.unlink(rd)
+        write_s = _stream(None, wr, file_bytes, transfer, direct_io, warnings)
+    return file_bytes / read_s / _MB, file_bytes / write_s / _MB
 
 
 def sweep(
@@ -344,13 +287,10 @@ def sweep(
             read_mbps = write_mbps = None
             warnings = list(copy.warnings)
             if measure_raw:
-                read_mbps, rw = _measure_read(
-                    directory, file_bytes, block, direct_io, seed + 3 * i + 1
+                read_mbps, write_mbps = _measure_raw(
+                    directory, file_bytes, block, direct_io, seed + 3 * i + 1,
+                    warnings,
                 )
-                write_mbps, ww = _measure_write(
-                    directory, file_bytes, block, direct_io
-                )
-                warnings += [w for w in rw + ww if w not in warnings]
             rows.append(
                 BenchRow(
                     block_bytes=block,

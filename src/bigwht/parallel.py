@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import is_power_of_two
 from .core import Signal, Domain, butterfly, check_magnitude_bound, fwht_array
 from .errors import BadArguments, InvalidWorkerCount, ValidationError
 
@@ -75,14 +74,6 @@ class ParallelPlan:
     @property
     def workers(self) -> int:
         return 1 << self.log2_workers
-
-
-def log2_workers_for(workers: int) -> int:
-    if workers < 2 or not is_power_of_two(workers):
-        raise InvalidWorkerCount(
-            f"worker count must be a power of two >= 2, got {workers}"
-        )
-    return workers.bit_length() - 1
 
 
 def plan_parallel(n: int, p: int) -> ParallelPlan:

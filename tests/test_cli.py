@@ -1,6 +1,7 @@
 """CLI surface tests: exit codes, output schemas, and the end-to-end
 generate/transform/extract pipeline."""
 
+import errno
 import json
 import os
 from pathlib import Path
@@ -11,6 +12,8 @@ import pytest
 from bigwht import dataset
 from bigwht.cli import run
 from bigwht.core import Signal, fwht_inplace
+
+from conftest import set_cpus
 
 
 def run_capture(capsys, argv):
@@ -145,23 +148,18 @@ class TestTransform:
         assert dataset.read_signal(mem_path)[2] == "walsh"
         assert dataset.read_signal(ext_path)[2] == "walsh"
 
-    def test_mem_threaded(self, capsys, tmp_path):
+    def test_mem_threaded(self, capsys, tmp_path, monkeypatch):
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         rng = np.random.default_rng(5)
         data = rng.integers(-99, 99, 1 << 8).astype(np.int64)
         dataset.write_signal(a, data)
         dataset.write_signal(b, data)
+        set_cpus(monkeypatch, 1)
         assert run(["transform", "mem", "--in", a]) == 0
-        assert run(["transform", "mem", "--in", b, "--threads", "4"]) == 0
+        set_cpus(monkeypatch, 4)
+        assert run(["transform", "mem", "--in", b]) == 0
         capsys.readouterr()
         assert Path(a).read_bytes() == Path(b).read_bytes()
-
-    def test_mem_bad_thread_count(self, capsys, tmp_path):
-        path = str(tmp_path / "sig.bin")
-        dataset.write_signal(path, np.zeros(16, dtype=np.int64))
-        code, _, _ = run_capture(capsys, ["transform", "mem", "--in", path,
-                                          "--threads", "3"])
-        assert code == 3
 
     def test_ext_entrywise(self, capsys, tmp_path):
         path = str(tmp_path / "sig.bin")
@@ -228,7 +226,6 @@ class TestInterruptedDataset:
 
     @pytest.mark.parametrize("argv", [
         ["transform", "mem", "--in", "{in}"],
-        ["transform", "mem", "--in", "{in}", "--threads", "2"],
         ["oracle", "--in", "{in}", "--out", "{tmp}/o.bin"],
         ["oracle", "--in", "{good}", "--expect", "{in}"],
         ["snr", "--in", "{in}", "--sigma", "1"],
@@ -259,6 +256,56 @@ class TestInterruptedDataset:
         arr, _, domain = dataset.read_signal(path)
         assert domain == "walsh"
         assert np.array_equal(arr, fwht_inplace(Signal(data.copy())).data)
+
+
+class TestFailedRun:
+    """What a failed transform leaves behind: nothing at all when it failed
+    before its first write, else a marker every command refuses."""
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "mem", "--in", "{in}"],
+        ["transform", "ext", "--in", "{in}", "--mem-log2", "8"],
+    ])
+    def test_overflow_leaves_dataset_untouched(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "big.bin")
+        dataset.write_signal(path, np.full(1 << 10, 1 << 60, dtype=np.int64))
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        argv = [a.format(**{"in": path}) for a in argv]
+        code, _, _ = run_capture(capsys, argv)
+        assert code == 3
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
+        code, _, _ = run_capture(capsys, ["snr", "--in", path, "--sigma", "1"])
+        assert code == 0
+
+    def test_half_written_mem_refused_on_rerun(self, capsys, tmp_path,
+                                               monkeypatch):
+        path = str(tmp_path / "sig.bin")
+        dataset.write_signal(path, np.arange(1 << 10, dtype=np.int64))
+        real = os.pwritev
+        calls = []
+
+        def half_then_fail(fd, buffers, offset):
+            calls.append(offset)
+            if len(calls) > 1:
+                raise OSError(errno.EIO, "injected write failure")
+            return real(fd, [buffers[0][: len(buffers[0]) // 2]], offset)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "pwritev", half_then_fail)
+            code, _, _ = run_capture(capsys, ["transform", "mem", "--in", path])
+        assert code == 2
+        assert calls == [0, 4096]
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        assert json.loads(sidecar)["pass_progress"]["writing"] is True
+        code, _, err = run_capture(capsys, ["transform", "mem", "--in", path])
+        assert code == 3
+        assert "rebuilt" in err
+        assert "--resume" not in err
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
 
 
 class TestOracle:

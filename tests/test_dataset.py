@@ -22,6 +22,8 @@ from bigwht.errors import (
     SizeMismatch,
 )
 
+from conftest import trickle
+
 
 @pytest.fixture
 def path(tmp_path):
@@ -146,21 +148,12 @@ class TestBlockIo:
             assert ds.stats.reads == 2
 
 
-def _trickle(call, limit):
-    """os.preadv/os.pwritev stand-in that moves at most ``limit`` bytes."""
-
-    def partial(fd, buffers, offset):
-        return call(fd, [buffers[0][:limit]], offset)
-
-    return partial
-
-
 class TestTransferLoop:
     def test_partial_transfers_resume(self, path, monkeypatch):
         rng = np.random.default_rng(5)
         data = rng.integers(-(1 << 62), 1 << 62, 1 << 10).astype(np.int64)
-        monkeypatch.setattr(os, "preadv", _trickle(os.preadv, 3))
-        monkeypatch.setattr(os, "pwritev", _trickle(os.pwritev, 3))
+        monkeypatch.setattr(os, "preadv", trickle(os.preadv, 3))
+        monkeypatch.setattr(os, "pwritev", trickle(os.pwritev, 3))
         with dataset.create(path, 10, "int64") as ds:
             ds.write_block(0, data)
             assert np.array_equal(ds.read_block(0, 1 << 10), data)
@@ -168,7 +161,7 @@ class TestTransferLoop:
     @pytest.mark.parametrize("name", ["preadv", "pwritev"])
     def test_zero_progress_names_offset(self, path, monkeypatch, name):
         with dataset.create(path, 4, "int64") as ds:
-            monkeypatch.setattr(os, name, _trickle(getattr(os, name), 0))
+            monkeypatch.setattr(os, name, trickle(getattr(os, name), 0))
             with pytest.raises(IoFailure, match="at byte 32"):
                 if name == "preadv":
                     ds.read_block(4, 2)

@@ -22,6 +22,8 @@ from bigwht.external import (
     run_external_entrywise,
 )
 
+from conftest import set_cpus
+
 
 def make_dataset(tmp_path, n, data=None, seed=0, name="sig.bin"):
     path = str(tmp_path / name)
@@ -339,6 +341,27 @@ class TestRestart:
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, reference)
 
+    def test_first_read_failure_leaves_no_marker(self, tmp_path):
+        # Nothing was written, so there is nothing to resume: the sidecar
+        # stays as it was and a plain rerun finishes the transform.
+        n, b, s = 10, 8, 1 << 4
+        path, data = make_dataset(tmp_path, n, seed=37)
+        reference = data.copy()
+        fwht_array(reference)
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        with dataset.open_validated(path) as ds:
+            def hook(op, start, count):
+                raise IoFailure(f"injected {op} failure")
+
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure, match="injected read"):
+                run_external_blocked(ds, b, io_block_elems=s)
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
+        with dataset.open_validated(path) as ds:
+            assert ds.progress_marker is None
+            run_external_blocked(ds, b, io_block_elems=s)
+        assert dataset.read_signal(path)[0].tobytes() == reference.tobytes()
+
     def test_no_write_marks_transformed_payload_time(self, tmp_path, monkeypatch):
         # Once a pass has begun writing, the payload is no longer the
         # time-domain signal: no sidecar may say "time" without a marker.
@@ -383,12 +406,6 @@ class TestRestart:
             run_external_entrywise(ds, b, resume=True)
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, reference)
-
-
-def set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
 def random_data(n, dtype, seed):

@@ -8,6 +8,8 @@ import pytest
 from bigwht import iobench
 from bigwht.errors import BadArguments, DiskFull
 
+from conftest import trickle
+
 
 MB = 1 << 20
 
@@ -119,3 +121,28 @@ class TestSweep:
         for row in report.rows:
             implied = row.copy_mbps * 1e6 * row.copy_seconds
             assert abs(implied - report.file_bytes) <= 0.001 * report.file_bytes
+
+
+class TestShortWrites:
+    """A write may legally move fewer bytes than asked; the copy must go on
+    from where it stopped instead of failing."""
+
+    @pytest.fixture(autouse=True)
+    def cap_writes(self, monkeypatch):
+        # Every write moves at most half a block, whichever call makes it.
+        monkeypatch.setattr(os, "pwritev", trickle(os.pwritev, 4096))
+        writev = os.writev
+        monkeypatch.setattr(os, "writev",
+                            lambda fd, buffers: writev(fd, [buffers[0][:4096]]))
+
+    def test_measure_copy_verified(self, tmp_path):
+        result = iobench.measure_copy(str(tmp_path), 64 * 1024, 8192, seed=12)
+        assert result.transfers == 8
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_reports_no_error(self, tmp_path):
+        report = iobench.sweep(str(tmp_path), 64 * 1024, [8192], seed=13)
+        row = report.rows[0]
+        assert row.error is None
+        assert row.read_mbps > 0
+        assert row.write_mbps > 0

@@ -11,7 +11,6 @@ from bigwht.parallel import (
     Phase,
     Workload,
     check_disjoint,
-    log2_workers_for,
     plan_parallel,
     run_parallel,
     total_butterflies,
@@ -64,11 +63,6 @@ class TestPlan:
             plan_parallel(8, 0)
         with pytest.raises(InvalidWorkerCount):
             plan_parallel(8, 8)
-        with pytest.raises(InvalidWorkerCount):
-            log2_workers_for(1)
-        with pytest.raises(InvalidWorkerCount):
-            log2_workers_for(6)
-        assert log2_workers_for(8) == 3
 
     def test_disjointness_all_small_plans(self):
         for n in range(2, 17):
