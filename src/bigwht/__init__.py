@@ -9,7 +9,7 @@ from .core import (
     parseval_energy,
     wht_bruteforce,
 )
-from .parallel import ParallelPlan, plan_parallel, run_parallel
+from .parallel import StagePlan, plan_parallel, run_parallel
 from .external import (
     ExternalMode,
     PassPlan,
@@ -40,7 +40,7 @@ __all__ = [
     "inverse_wht_inplace",
     "parseval_energy",
     "wht_bruteforce",
-    "ParallelPlan",
+    "StagePlan",
     "plan_parallel",
     "run_parallel",
     "ExternalMode",

@@ -83,7 +83,7 @@ def _open_settled(path: str) -> dataset.DatasetFile:
     return ds
 
 
-def _read_settled(path: str) -> tuple[np.ndarray, str, str]:
+def _read_settled(path: str) -> tuple[np.ndarray, str, Domain]:
     """Like dataset.read_signal, through _open_settled."""
     with _open_settled(path) as ds:
         return ds.read_block(0, ds.dim), ds.element_kind, ds.domain
@@ -319,7 +319,7 @@ def snr(ctx, in_path, sigma):
     """Signal-to-noise report for a clean signal against noise level sigma."""
     _adopt_if_forced(ctx, in_path, "time")
     arr, kind, domain = _read_settled(in_path)
-    sig = Signal(arr, Domain.WALSH if domain == "walsh" else Domain.TIME)
+    sig = Signal(arr, domain)
     report = noisy.snr(sig, sigma)
     payload = {
         "in": in_path,

@@ -34,9 +34,19 @@ TILE_LOG2 = 16
 TILE_ELEMS = 1 << TILE_LOG2
 
 
-class Domain(enum.Enum):
+class Domain(str, enum.Enum):
+    """Equals, prints and serialises as its sidecar string; ``Domain(value)``
+    is the one validation of a domain name."""
+
     TIME = "time"
     WALSH = "walsh"
+
+    def __str__(self) -> str:
+        return self.value
+
+    @classmethod
+    def _missing_(cls, value):
+        raise BadArguments(f"bad domain {value!r}")
 
 
 @dataclass

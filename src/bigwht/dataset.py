@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .bits import is_power_of_two
+from .core import Domain
 from .errors import (
     BadArguments,
     BadMetadata,
@@ -41,7 +42,6 @@ DEFAULT_ALIGNMENT = 4096
 SYNC_BEHIND_BYTES = 8 << 20
 
 _DTYPES = {"int64": np.dtype("<i8"), "float64": np.dtype("<f8")}
-_DOMAINS = ("time", "walsh")
 
 
 def io_alignment() -> int:
@@ -96,8 +96,10 @@ def _read_sidecar(path: str) -> dict:
         raise BadMetadata(f"bad log2_dim {n!r}")
     if meta.get("element_kind") not in _DTYPES:
         raise BadMetadata(f"bad element_kind {meta.get('element_kind')!r}")
-    if meta.get("domain") not in _DOMAINS:
-        raise BadMetadata(f"bad domain {meta.get('domain')!r}")
+    try:
+        meta["domain"] = Domain(meta.get("domain"))
+    except BadArguments as exc:
+        raise BadMetadata(str(exc)) from exc
     return meta
 
 
@@ -190,7 +192,7 @@ class DatasetFile:
         return self._meta["element_kind"]
 
     @property
-    def domain(self) -> str:
+    def domain(self) -> Domain:
         return self._meta["domain"]
 
     @property
@@ -202,9 +204,7 @@ class DatasetFile:
         return self._meta.get("pass_progress")
 
     def set_domain(self, domain: str) -> None:
-        if domain not in _DOMAINS:
-            raise BadArguments(f"bad domain {domain!r}")
-        self._meta["domain"] = domain
+        self._meta["domain"] = Domain(domain)
         _write_sidecar(self.path, self._meta)
 
     def set_progress_marker(
@@ -215,8 +215,8 @@ class DatasetFile:
         A ``domain`` changes in the same sidecar write, so no crash can
         leave the marker cleared but the domain not yet flipped.
         """
-        if domain is not None and domain not in _DOMAINS:
-            raise BadArguments(f"bad domain {domain!r}")
+        if domain is not None:
+            domain = Domain(domain)
         if marker is None:
             self._meta.pop("pass_progress", None)
         else:
@@ -358,8 +358,7 @@ def create(
         raise BadArguments(f"log2_dim must be >= 0, got {log2_dim}")
     if element_kind not in _DTYPES:
         raise BadArguments(f"bad element_kind {element_kind!r}")
-    if domain not in _DOMAINS:
-        raise BadArguments(f"bad domain {domain!r}")
+    domain = Domain(domain)
     if os.path.exists(path) or os.path.exists(sidecar_path(path)):
         raise PathExists(f"{path} (or its sidecar) already exists")
     size = ELEMENT_BYTES << log2_dim
@@ -399,8 +398,7 @@ def adopt(path: str, element_kind: str, domain: str) -> int:
     """
     if element_kind not in _DTYPES:
         raise BadArguments(f"bad element_kind {element_kind!r}")
-    if domain not in _DOMAINS:
-        raise BadArguments(f"bad domain {domain!r}")
+    domain = Domain(domain)
     if os.path.exists(sidecar_path(path)):
         raise PathExists(f"{sidecar_path(path)} already exists")
     try:
@@ -440,7 +438,7 @@ def write_signal(path: str, data: np.ndarray, domain: str = "time") -> None:
         ds.close()
 
 
-def read_signal(path: str) -> tuple[np.ndarray, str, str]:
+def read_signal(path: str) -> tuple[np.ndarray, str, Domain]:
     """Load a whole dataset into memory; returns (array, element_kind, domain)."""
     ds = open_validated(path)
     try:

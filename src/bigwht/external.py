@@ -1,19 +1,20 @@
 """Out-of-core WHT over a DatasetFile with at most 2**B elements in RAM.
 
-The schedule is q = n - B + 1 disk passes: pass 0 transforms each
-contiguous superblock of 2**B elements in memory (covering butterfly
-stages 0 .. B-1), then each remaining pass performs one stage
+The passes run ``parallel.StagePlan`` (B, S), the plan type the thread
+schedule runs, as q = n - B + 1 disk passes: pass 0 transforms each
+contiguous superblock (chunk) of 2**B elements in memory (covering
+butterfly stages 0 .. B-1), then each remaining pass performs one stage
 k = B .. n-1 directly against the file. Every pass reads and writes each
 dataset byte exactly once. With B >= n the plan is the single pass 0 over
 one superblock, the whole dataset: that is the CLI's in-memory transform.
 
-One stage-pass executor serves both modes: it pairs runs of S elements
-at matching offsets 2**k apart, butterflies them and writes them back.
-Blocked mode turns the arithmetic into large sequential transfers; S is
-independent of B and bounded by S <= 2**(B-1) so two blocks fit the
-memory budget. Entry-wise mode is the same pass with S = 1, which is
-the paper's skip-rule loop: read pt, read pt + 2**k, write both, one
-element per operation.
+One stage-pass executor serves both modes: it walks the plan's runs of
+S elements, reads each with its partner 2**k further on, butterflies
+them and writes them back. Blocked mode turns the arithmetic into large
+sequential transfers; S is independent of B and bounded by
+S <= 2**(B-1) so two blocks fit the memory budget. Entry-wise mode is
+the same pass with S = 1, which is the paper's skip-rule loop: read pt,
+read pt + 2**k, write both, one element per operation.
 
 Pass 0 runs each superblock on the thread schedule of ``parallel``, with
 2**p workers for the process's usable CPUs (p = floor(log2 CPUs), capped
@@ -23,14 +24,15 @@ plus about 768 KiB of kernel scratch per worker. Meanwhile the dataset
 handle writes back behind the passes on a background sync thread, so the
 flush that ends each pass waits only for the last few megabytes.
 
-No marker is written before the run's first payload write, so a run
-that is refused or fails before then (say, on the first superblock's
-read or bound check) leaves the sidecar as it was and can simply be
-rerun. After every completed pass the sidecar gains an updated
-pass-progress marker, so an interrupted run can be restarted from the
-failed pass with ``resume=True``. A restart is exact when the
-interrupted pass had not yet written (it failed on a read, or the
-process died between passes). A pass killed after its writes began
+No marker is written before the run's first payload write, so a run that
+is refused or fails before then (say, on the first superblock's read or
+bound check) leaves the sidecar as it was and can simply be rerun; so
+does an int64 overflow found in a later superblock, which undoes the
+superblocks already written. After every completed pass the sidecar
+gains an updated pass-progress marker, so an interrupted run can be
+restarted from the failed pass with ``resume=True``. A restart is exact
+when the interrupted pass had not yet written (it failed on a read, or
+the process died between passes). A pass killed after its writes began
 cannot be re-run -- butterflies are not idempotent -- so the sidecar
 flags that state the moment a pass first writes, and resume refuses it
 instead of corrupting the data.
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 from .bits import is_power_of_two
 from .core import butterfly, check_magnitude_bound, fwht_array
 from .dataset import ELEMENT_BYTES, DatasetFile
-from .errors import BadArguments, BadBlockSize
-from .parallel import plan_parallel, run_plan, usable_cpus
+from .errors import BadArguments, BadBlockSize, OverflowBoundError
+from .parallel import StagePlan, plan_parallel, run_plan, usable_cpus
 
 
 class ExternalMode(enum.Enum):
@@ -55,25 +57,25 @@ class ExternalMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DiskPass:
-    """One full read+write traversal; stage is None for the initial
-    in-memory superblock pass."""
-
-    index: int
-    stage: int | None
-
-
-@dataclass(frozen=True)
 class PassPlan:
-    log2_dim: int
-    mem_log2: int
+    """The stage plan the passes run, plus what the pass marker records
+    beyond it."""
+
     mode: ExternalMode
-    io_block_elems: int
-    passes: tuple[DiskPass, ...]
+    mem_log2: int
+    schedule: StagePlan
 
     @property
     def q(self) -> int:
-        return len(self.passes)
+        return self.schedule.q
+
+    @property
+    def log2_dim(self) -> int:
+        return self.schedule.log2_dim
+
+    @property
+    def io_block_elems(self) -> int:
+        return self.schedule.run_elems
 
 
 def plan_external(
@@ -104,15 +106,10 @@ def plan_external(
             f"blocked mode needs S <= 2**(B-1) = {1 << (mem_log2 - 1)} "
             f"elements, got {block_elems}"
         )
-    passes = [DiskPass(index=0, stage=None)]
-    for k in range(mem_log2, n):
-        passes.append(DiskPass(index=len(passes), stage=k))
     return PassPlan(
-        log2_dim=n,
-        mem_log2=mem_log2,
         mode=mode,
-        io_block_elems=block_elems,
-        passes=tuple(passes),
+        mem_log2=mem_log2,
+        schedule=StagePlan(n, min(mem_log2, n), block_elems),
     )
 
 
@@ -180,18 +177,18 @@ def _start_pass_index(ds: DatasetFile, plan: PassPlan, resume: bool) -> int:
                 f"{ds.path} is in the {ds.domain} domain; expected time"
             )
         return 0
-    if not resume:
-        raise BadArguments(
-            f"{ds.path} has an interrupted transform "
-            f"({marker.get('passes_done')}/{marker.get('total_passes')} "
-            f"passes done); pass resume=True to continue"
-        )
     if marker.get("writing"):
         raise BadArguments(
             f"{ds.path}: pass {marker.get('passes_done')} was interrupted "
             f"after its writes began, so the payload may be partially "
             f"transformed; re-running it would corrupt the data. Rebuild "
             f"the dataset from its source."
+        )
+    if not resume:
+        raise BadArguments(
+            f"{ds.path} has an interrupted transform "
+            f"({marker.get('passes_done')}/{marker.get('total_passes')} "
+            f"passes done); pass resume=True to continue"
         )
     expected = _marker_for(plan, marker.get("passes_done", -1))
     if marker != expected:
@@ -232,19 +229,19 @@ class _FirstWriteSentinel:
 def _execute(ds: DatasetFile, plan: PassPlan, resume: bool) -> ExternalRunReport:
     start = _start_pass_index(ds, plan, resume)
     executed = []
-    for disk_pass in plan.passes[start:]:
-        sentinel = _FirstWriteSentinel(ds, plan, disk_pass.index)
+    for index, stage in enumerate((None, *plan.schedule.stages)[start:], start):
+        sentinel = _FirstWriteSentinel(ds, plan, index)
         ds.fault_hook = sentinel
         try:
-            if disk_pass.stage is None:
-                _initial_pass(ds, plan)
+            if stage is None:
+                _initial_pass(ds, plan.schedule)
             else:
-                _blocked_stage_pass(ds, disk_pass.stage, plan.io_block_elems)
+                _blocked_stage_pass(ds, plan.schedule, stage)
             ds.flush()
         finally:
             ds.fault_hook = sentinel.inner
-        ds.set_progress_marker(_marker_for(plan, disk_pass.index + 1))
-        executed.append(disk_pass.index)
+        ds.set_progress_marker(_marker_for(plan, index + 1))
+        executed.append(index)
     # One sidecar write: a kill between clearing the marker and flipping
     # the domain would leave a transformed payload marked "time", and the
     # next run would transform it again.
@@ -252,19 +249,23 @@ def _execute(ds: DatasetFile, plan: PassPlan, resume: bool) -> ExternalRunReport
     return ExternalRunReport(plan=plan, passes_executed=executed, resumed_from=start)
 
 
-def _initial_pass(ds: DatasetFile, plan: PassPlan) -> None:
+def _initial_pass(ds: DatasetFile, plan: StagePlan) -> None:
     """Superblock WHTs covering stages 0 .. B-1 (all stages when n <= B)."""
-    n = plan.log2_dim
-    b = min(plan.mem_log2, n)
+    n, b = plan.log2_dim, plan.block_log2
     p = max(0, min(usable_cpus().bit_length() - 1, b - 1))
     block_plan = plan_parallel(b, p) if p else None
     # Threads start on first submit, so the serial case starts none.
     with ThreadPoolExecutor(max_workers=1 << p) as pool:
-        for start in range(0, 1 << n, 1 << b):
+        for done, start in enumerate(plan.chunks()):
             block = ds.read_block(start, 1 << b)
             # The original data streams by exactly once here, so this is
             # where the whole-transform magnitude bound gets enforced.
-            check_magnitude_bound(block, n)
+            try:
+                check_magnitude_bound(block, n)
+            except OverflowBoundError:
+                if done:  # superblocks 0 .. done-1 are written: undo them
+                    _undo_superblocks(ds, plan, done)
+                raise
             if block_plan is None:
                 fwht_array(block)
             else:
@@ -272,18 +273,32 @@ def _initial_pass(ds: DatasetFile, plan: PassPlan) -> None:
             ds.write_block(start, block)
 
 
-def _blocked_stage_pass(ds: DatasetFile, stage: int, block_elems: int) -> None:
+def _undo_superblocks(ds: DatasetFile, plan: StagePlan, count: int) -> None:
+    """Restore the first ``count`` superblocks and clear the marker.
+
+    Exact: H * H = 2**B * I, and these int64 values passed the bound. A
+    kill in here leaves ``writing: true``, which every later run refuses.
+    """
+    size = 1 << plan.block_log2
+    for start in plan.chunks()[:count]:
+        block = ds.read_block(start, size)
+        fwht_array(block)
+        block //= size
+        ds.write_block(start, block)
+    ds.flush()
+    ds.set_progress_marker(None)
+
+
+def _blocked_stage_pass(ds: DatasetFile, plan: StagePlan, stage: int) -> None:
     """Stage k via paired S-element blocks from disjoint file regions.
 
     With S = 1 the loop order is the entry-wise skip rule: pt runs over
     the indices whose bit k is clear, each paired with pt + 2**k.
     """
-    n = ds.log2_dim
-    j = 1 << stage
-    for base in range(0, 1 << n, j << 1):
-        for offset in range(0, j, block_elems):
-            lo = ds.read_block(base + offset, block_elems)
-            hi = ds.read_block(base + offset + j, block_elems)
-            butterfly(lo, hi)
-            ds.write_block(base + offset, lo)
-            ds.write_block(base + offset + j, hi)
+    j, s = 1 << stage, plan.run_elems
+    for pt in plan.runs(stage):
+        lo = ds.read_block(pt, s)
+        hi = ds.read_block(pt + j, s)
+        butterfly(lo, hi)
+        ds.write_block(pt, lo)
+        ds.write_block(pt + j, hi)

@@ -1,17 +1,19 @@
-"""Data-parallel in-memory WHT for m = 2**p workers.
+"""The stage plan every executor runs, and its in-memory thread executor.
 
-The schedule runs p+1 phases separated by full barriers. Phase 0 gives
-each worker an independent WHT over a contiguous chunk of 2**(n-p)
-elements; each remaining phase covers one butterfly stage k in
-n-p .. n-1, split into m equal workloads of consecutive butterflies.
-Within a phase the index sets touched by distinct subtasks are pairwise
-disjoint, which is what makes the shared-buffer mutation safe; the plan
-checker below proves it for any concrete plan.
+``StagePlan(n, B, S)`` transforms each contiguous chunk of 2**B elements
+on its own (stages 0 .. B-1), then performs each stage k = B .. n-1 as
+butterflies between paired runs of S elements 2**k apart. Within a step
+the index sets of distinct subtasks are pairwise disjoint, which is what
+makes mutating one shared buffer (or file) safe; the plan checker below
+proves it for any concrete plan. The thread schedule for 2**p workers is
+the plan with B = n - p and S = 2**(B-1); the disk passes of ``external``
+are the plan with the memory budget's B and the transfer size S.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,132 +24,89 @@ from .errors import BadArguments, InvalidWorkerCount, ValidationError
 
 
 @dataclass(frozen=True)
-class Workload:
-    """A run of ``count`` consecutive butterflies starting at ``start``.
+class StagePlan:
+    """Chunk WHTs of 2**block_log2 elements, then stages block_log2 .. n-1
+    over paired runs of ``run_elems`` elements; valid when S = run_elems
+    is a power of two no larger than 2**(B-1) (``check_disjoint``)."""
 
-    Every butterfly pairs buf[pt] with buf[pt + stride] for
-    pt = start .. start + count - 1. Because count never exceeds the
-    stride (count = 2**(n-1-p) <= 2**k), the pointer needs no skip
-    correction inside a workload.
-    """
-
-    start: int
-    stride: int
-    count: int
-
-    def index_ranges(self) -> tuple[range, range]:
-        return (
-            range(self.start, self.start + self.count),
-            range(self.start + self.stride, self.start + self.stride + self.count),
-        )
-
-
-@dataclass(frozen=True)
-class Phase:
-    """One barrier-delimited group of subtasks.
-
-    stage is None for the initial chunk-WHT phase, otherwise the butterfly
-    stage index k. chunks holds (start, length) pairs for the initial
-    phase; workloads holds the Workload list for stage phases.
-    """
-
-    stage: int | None
-    chunks: tuple[tuple[int, int], ...] = ()
-    workloads: tuple[Workload, ...] = ()
-
-    def index_sets(self) -> list[set[int]]:
-        if self.stage is None:
-            return [set(range(s, s + length)) for s, length in self.chunks]
-        sets = []
-        for w in self.workloads:
-            lo, hi = w.index_ranges()
-            sets.append(set(lo) | set(hi))
-        return sets
-
-
-@dataclass(frozen=True)
-class ParallelPlan:
     log2_dim: int
-    log2_workers: int
-    phases: tuple[Phase, ...]
+    block_log2: int
+    run_elems: int
 
     @property
-    def workers(self) -> int:
-        return 1 << self.log2_workers
+    def stages(self) -> range:
+        return range(self.block_log2, self.log2_dim)
+
+    @property
+    def q(self) -> int:
+        """Steps: the chunk step plus one per stage."""
+        return 1 + len(self.stages)
+
+    def chunks(self) -> range:
+        """Chunk starts; each chunk holds 2**block_log2 elements."""
+        return range(0, 1 << self.log2_dim, 1 << self.block_log2)
+
+    def runs(self, k: int) -> Iterator[int]:
+        """Stage k's low-run starts in index order: run [s, s + S) pairs
+        with [s + 2**k, s + 2**k + S)."""
+        j = 1 << k
+        for base in range(0, 1 << self.log2_dim, j << 1):
+            yield from range(base, base + j, self.run_elems)
 
 
-def plan_parallel(n: int, p: int) -> ParallelPlan:
+def plan_parallel(n: int, p: int) -> StagePlan:
     """Build the (p+1)-phase schedule for dimension 2**n on 2**p workers.
 
     Phase 0: worker w transforms the chunk starting at w * 2**(n-p).
     Stage-k phase: worker w runs the t-th run of 2**(n-1-p) consecutive
     butterflies, t = w * 2**(n-1-p), starting at
     ((t >> k) << (k+1)) | (t & (2**k - 1)).
+    That is StagePlan(n, n - p, 2**(n-1-p)).
     """
     if p < 1 or p > n - 1:
         raise InvalidWorkerCount(
             f"need 1 <= p <= n-1 (got p={p}, n={n}); "
             f"p=0 means a serial transform"
         )
-    m = 1 << p
-    chunk = 1 << (n - p)
-    phases = [Phase(stage=None, chunks=tuple((w * chunk, chunk) for w in range(m)))]
-    count = 1 << (n - 1 - p)
-    for k in range(n - p, n):
-        workloads = []
-        for w in range(m):
-            t = w * count
-            start = ((t >> k) << (k + 1)) | (t & ((1 << k) - 1))
-            workloads.append(Workload(start=start, stride=1 << k, count=count))
-        phases.append(Phase(stage=k, workloads=tuple(workloads)))
-    return ParallelPlan(log2_dim=n, log2_workers=p, phases=tuple(phases))
+    return StagePlan(log2_dim=n, block_log2=n - p, run_elems=1 << (n - 1 - p))
 
 
-def check_disjoint(plan: ParallelPlan) -> None:
-    """Prove no index is touched by two subtasks of the same phase.
+def check_disjoint(plan: StagePlan) -> None:
+    """Prove no index is touched by two subtasks of the same step.
 
     Also checks every index is in range. Raises ValidationError on any
-    overlap; O(2**n) per phase, intended for verification at desk scale.
+    overlap; O(2**n) per step, intended for verification at desk scale.
     """
-    dim = 1 << plan.log2_dim
-    for phase_idx, phase in enumerate(plan.phases):
+    dim, size, s = 1 << plan.log2_dim, 1 << plan.block_log2, plan.run_elems
+    for step, k in enumerate((None, *plan.stages)):
+        if k is None:
+            tasks = [set(range(c, c + size)) for c in plan.chunks()]
+        else:
+            j = 1 << k
+            tasks = [set(range(lo, lo + s)) | set(range(lo + j, lo + j + s))
+                     for lo in plan.runs(k)]
         seen: set[int] = set()
-        for task_idx, indices in enumerate(phase.index_sets()):
-            if any(i < 0 or i >= dim for i in indices):
+        for task, indices in enumerate(tasks):
+            if min(indices) < 0 or max(indices) >= dim:
                 raise ValidationError(
-                    f"phase {phase_idx} subtask {task_idx} reaches out of range"
+                    f"step {step} subtask {task} reaches out of range"
                 )
             overlap = seen & indices
             if overlap:
                 raise ValidationError(
-                    f"phase {phase_idx} subtask {task_idx} overlaps earlier "
+                    f"step {step} subtask {task} overlaps earlier "
                     f"subtasks at {sorted(overlap)[:4]}"
                 )
             seen |= indices
 
 
-def total_butterflies(plan: ParallelPlan) -> int:
-    """Butterflies across all phases; equals n * 2**(n-1) for a valid plan."""
-    total = 0
-    for phase in plan.phases:
-        if phase.stage is None:
-            for _, length in phase.chunks:
-                sub_n = length.bit_length() - 1
-                total += sub_n << max(sub_n - 1, 0)
-        else:
-            total += sum(w.count for w in phase.workloads)
+def total_butterflies(plan: StagePlan) -> int:
+    """Butterflies across all steps; equals n * 2**(n-1) for a valid plan."""
+    b = plan.block_log2
+    total = len(plan.chunks()) * ((b << b) // 2)
+    for k in plan.stages:
+        total += plan.run_elems * sum(1 for _ in plan.runs(k))
     return total
-
-
-def _run_chunk(buf: np.ndarray, start: int, length: int) -> None:
-    fwht_array(buf[start : start + length])
-
-
-def _run_workload(buf: np.ndarray, w: Workload) -> None:
-    butterfly(
-        buf[w.start : w.start + w.count],
-        buf[w.start + w.stride : w.start + w.stride + w.count],
-    )
 
 
 def usable_cpus() -> int:
@@ -159,53 +118,50 @@ def usable_cpus() -> int:
 
 
 def run_plan(
-    buf: np.ndarray, plan: ParallelPlan, pool: Executor, on_phase_complete=None
+    buf: np.ndarray, plan: StagePlan, pool: Executor, on_phase_complete=None
 ) -> None:
-    """Transform ``buf`` in place by running the plan's phases on ``pool``.
+    """Transform ``buf`` in place by running the plan's steps on ``pool``.
 
-    The buffer is shared mutably across the workers of a phase (safe by
-    index disjointness); a full barrier separates phases. A worker failure
-    propagates as a single exception after the phase drains, leaving the
-    buffer contents unspecified. Checks neither the magnitude bound nor
-    a domain: that is the caller's business.
+    Each chunk and each pair of runs is one task. The buffer is shared
+    mutably across the tasks of a step (safe by index disjointness); a
+    full barrier separates steps, and ``on_phase_complete(i)`` follows
+    step i. A task failure propagates as a single exception after the
+    step drains, leaving the buffer contents unspecified. Checks neither
+    the magnitude bound nor a domain: that is the caller's business.
     """
     if buf.shape != (1 << plan.log2_dim,):
         raise BadArguments(
             f"plan is for 2**{plan.log2_dim} elements, buffer has shape "
             f"{buf.shape}"
         )
-    for phase_idx, phase in enumerate(plan.phases):
-        if phase.stage is None:
-            futures = [
-                pool.submit(_run_chunk, buf, start, length)
-                for start, length in phase.chunks
-            ]
+    size, s = 1 << plan.block_log2, plan.run_elems
+    for step, k in enumerate((None, *plan.stages)):
+        if k is None:
+            futures = [pool.submit(fwht_array, buf[c : c + size])
+                       for c in plan.chunks()]
         else:
-            futures = [pool.submit(_run_workload, buf, w) for w in phase.workloads]
-        errors = []
-        for fut in futures:  # barrier: wait for the whole phase
-            exc = fut.exception()
+            j = 1 << k
+            futures = [
+                pool.submit(butterfly, buf[lo : lo + s], buf[lo + j : lo + j + s])
+                for lo in plan.runs(k)
+            ]
+        # Barrier: drain the whole step, then raise its first failure.
+        for exc in [fut.exception() for fut in futures]:
             if exc is not None:
-                errors.append(exc)
-        if errors:
-            raise errors[0]
+                raise exc
         if on_phase_complete is not None:
-            on_phase_complete(phase_idx)
+            on_phase_complete(step)
 
 
-def run_parallel(sig: Signal, plan: ParallelPlan, on_phase_complete=None) -> Signal:
-    """Execute the plan on a worker pool; blocks until done.
+def run_parallel(sig: Signal, plan: StagePlan, on_phase_complete=None) -> Signal:
+    """Execute the plan on a pool of one worker per chunk; blocks until done.
 
     Output is bit-identical to the serial transform. A worker failure
     propagates as a single exception after the phase drains; the signal
     must then be discarded.
     """
-    if plan.log2_dim != sig.log2_dim:
-        raise BadArguments(
-            f"plan is for n={plan.log2_dim}, signal has n={sig.log2_dim}"
-        )
     check_magnitude_bound(sig.data, sig.log2_dim)
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+    with ThreadPoolExecutor(max_workers=len(plan.chunks())) as pool:
         run_plan(sig.data, plan, pool, on_phase_complete)
     sig.domain = Domain.WALSH if sig.domain == Domain.TIME else Domain.TIME
     return sig

@@ -89,16 +89,16 @@ def test_criterion_03_parallel_equivalence():
     # The four-worker schedule must match the reference tuples literally.
     for n in (6, 12, 20):
         plan = plan_parallel(n, 2)
-        stage_a = plan.phases[1]
-        tuples = [(w.start, w.stride) for w in stage_a.workloads]
+        k = plan.stages[0]
+        tuples = [(s, 1 << k) for s in plan.runs(k)]
         ok &= tuples == [
             (0, 1 << (n - 2)),
             (1 << (n - 3), 1 << (n - 2)),
             (1 << (n - 1), 1 << (n - 2)),
             ((1 << (n - 1)) + (1 << (n - 3)), 1 << (n - 2)),
         ]
-        stage_b = plan.phases[2]
-        ok &= [(w.start, w.stride) for w in stage_b.workloads] == [
+        k = plan.stages[1]
+        ok &= [(s, 1 << k) for s in plan.runs(k)] == [
             (i << (n - 3), 1 << (n - 1)) for i in range(4)
         ]
     report(3, "parallel runs (p = 1..3) byte-identical to serial over 50 "

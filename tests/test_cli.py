@@ -279,6 +279,50 @@ class TestFailedRun:
         code, _, _ = run_capture(capsys, ["snr", "--in", path, "--sigma", "1"])
         assert code == 0
 
+    def test_overflow_in_later_superblock_leaves_dataset_untouched(
+            self, capsys, tmp_path):
+        # Superblocks 0 and 1 are already written when superblock 2 fails
+        # the bound check; the engine undoes them.
+        path = str(tmp_path / "big.bin")
+        data = np.zeros(1 << 10, dtype=np.int64)
+        data[600] = 1 << 60
+        dataset.write_signal(path, data)
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        code, _, _ = run_capture(
+            capsys, ["transform", "ext", "--in", path, "--mem-log2", "8"])
+        assert code == 3
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
+        code, _, _ = run_capture(capsys, ["snr", "--in", path, "--sigma", "1"])
+        assert code == 0
+
+    def test_half_written_ext_rerun_names_rebuild(self, capsys, tmp_path):
+        # Without --resume the refusal must still name the rebuild: pointing
+        # to --resume would only lead to a second refusal.
+        from bigwht.errors import IoFailure
+        from bigwht.external import run_external_blocked
+        path = str(tmp_path / "sig.bin")
+        dataset.write_signal(path, np.arange(1 << 10, dtype=np.int64))
+        with dataset.open_validated(path) as ds:
+            def hook(op, start, count):
+                if op == "write" and start > 0:
+                    raise IoFailure("injected kill")
+
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure):
+                run_external_blocked(ds, 8, io_block_elems=1 << 4)
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        assert json.loads(sidecar)["pass_progress"]["writing"] is True
+        code, _, err = run_capture(
+            capsys, ["transform", "ext", "--in", path, "--mem-log2", "8"])
+        assert code == 3
+        assert "Rebuild" in err
+        assert "resume=True" not in err
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
+
     def test_half_written_mem_refused_on_rerun(self, capsys, tmp_path,
                                                monkeypatch):
         path = str(tmp_path / "sig.bin")

@@ -1,6 +1,7 @@
 """Core transform tests: the brute-force definition is the oracle, the
 fast path must agree with it exactly."""
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,6 +44,18 @@ class TestSignal:
     def test_log2_dim(self):
         assert int_signal([0] * 8).log2_dim == 3
         assert int_signal([5]).log2_dim == 0
+
+
+class TestDomain:
+    def test_member_is_its_sidecar_string(self):
+        assert Domain("walsh") is Domain.WALSH
+        assert Domain.WALSH == "walsh"
+        assert f"{Domain.TIME}" == str(Domain.TIME) == "time"
+        assert json.dumps({"domain": Domain.WALSH}) == '{"domain": "walsh"}'
+
+    def test_bad_name_rejected(self):
+        with pytest.raises(BadArguments):
+            Domain("frequency")
 
 
 class TestBruteforce:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bigwht import dataset
+from bigwht.core import Domain
 from bigwht.errors import (
     BadArguments,
     BadMetadata,
@@ -213,6 +214,15 @@ class TestOpenValidated:
         with pytest.raises(BadMetadata):
             dataset.open_validated(path)
 
+    def test_bad_domain(self, path):
+        dataset.create(path, 3, "int64").close()
+        sidecar = Path(dataset.sidecar_path(path))
+        meta = json.loads(sidecar.read_text())
+        meta["domain"] = "frequency"
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(BadMetadata, match="frequency"):
+            dataset.open_validated(path)
+
     def test_missing_payload(self, path):
         dataset.create(path, 3, "int64").close()
         os.unlink(path)
@@ -227,6 +237,16 @@ class TestMetadataUpdates:
             ds.set_domain("walsh")
         with dataset.open_validated(path) as ds:
             assert ds.domain == "walsh"
+
+    def test_domain_read_as_enum_written_as_string(self, path):
+        dataset.create(path, 3, "int64").close()
+        with dataset.open_validated(path) as ds:
+            assert ds.domain is Domain.TIME
+            ds.set_domain(Domain.WALSH)
+        meta = json.loads(Path(dataset.sidecar_path(path)).read_text())
+        assert type(meta["domain"]) is str and meta["domain"] == "walsh"
+        with dataset.open_validated(path) as ds:
+            assert ds.domain is Domain.WALSH
 
     def test_sidecar_rename_synced(self, path, monkeypatch):
         dataset.create(path, 3, "int64").close()

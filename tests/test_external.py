@@ -21,6 +21,7 @@ from bigwht.external import (
     run_external_blocked,
     run_external_entrywise,
 )
+from bigwht.parallel import check_disjoint, total_butterflies
 
 from conftest import set_cpus
 
@@ -43,12 +44,25 @@ class TestPlan:
     def test_fits_in_memory(self):
         plan = plan_external(10, 12, ExternalMode.BLOCKED, 4096)
         assert plan.q == 1
-        assert plan.passes[0].stage is None
+        assert list(plan.schedule.stages) == []
+        assert list(plan.schedule.chunks()) == [0]
 
     def test_stage_sequence(self):
         plan = plan_external(12, 8, ExternalMode.ENTRYWISE, 8)
         assert plan.q == 5
-        assert [p.stage for p in plan.passes] == [None, 8, 9, 10, 11]
+        assert [None, *plan.schedule.stages] == [None, 8, 9, 10, 11]
+
+    def test_small_plans_disjoint_and_complete(self):
+        # The passes run the thread schedule's plan type, so its checker
+        # proves them too: every n <= 10, B and S = 2**s <= 2**(B-1).
+        for n in range(1, 11):
+            for b in range(1, n + 1):
+                for s in range(b):
+                    plan = plan_external(n, b, ExternalMode.BLOCKED, 8 << s)
+                    check_disjoint(plan.schedule)
+                    assert total_butterflies(plan.schedule) == n << (n - 1)
+                entrywise = plan_external(n, b, ExternalMode.ENTRYWISE, 8)
+                check_disjoint(entrywise.schedule)
 
     def test_block_size_validation(self):
         with pytest.raises(BadBlockSize):
@@ -429,7 +443,7 @@ class TestThreadedPassZero:
         real_run_plan = external.run_plan
 
         def spy(buf, plan, pool, on_phase_complete=None):
-            plans.append(plan.log2_workers)
+            plans.append(plan.log2_dim - plan.block_log2)
             real_run_plan(buf, plan, pool, on_phase_complete)
 
         monkeypatch.setattr(external, "run_plan", spy)
@@ -524,3 +538,47 @@ class TestOverflowGuard:
         with dataset.open_validated(path) as ds:
             with pytest.raises(OverflowBoundError):
                 run_external_blocked(ds, 8, io_block_elems=1 << 4)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflow_in_later_superblock_undone(self, tmp_path, monkeypatch,
+                                                 cpus):
+        # Superblocks 0 and 1 are transformed and written before the bound
+        # check meets 2**60 in superblock 2; undoing them restores the bytes.
+        set_cpus(monkeypatch, cpus)
+        n, b = 10, 8
+        data = random_data(n, np.int64, seed=43)
+        data[600] = 1 << 60
+        path, _ = make_dataset(tmp_path, n, data=data)
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_bytes()
+        ops = []
+        with dataset.open_validated(path) as ds:
+            ds.fault_hook = lambda op, start, count: ops.append((op, start))
+            with pytest.raises(OverflowBoundError):
+                run_external_blocked(ds, b, io_block_elems=1 << 4)
+        assert ops == [("read", 0), ("write", 0), ("read", 256), ("write", 256),
+                       ("read", 512),
+                       ("read", 0), ("write", 0), ("read", 256), ("write", 256)]
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_bytes() == sidecar
+
+    def test_kill_during_undo_refused(self, tmp_path):
+        n, b = 10, 8
+        data = random_data(n, np.int64, seed=47)
+        data[600] = 1 << 60
+        path, _ = make_dataset(tmp_path, n, data=data)
+        with dataset.open_validated(path) as ds:
+            writes = {"n": 0}
+
+            def hook(op, start, count):
+                writes["n"] += op == "write"
+                if writes["n"] == 3:  # the undo's first write
+                    raise IoFailure("injected kill")
+
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure):
+                run_external_blocked(ds, b, io_block_elems=1 << 4)
+        with dataset.open_validated(path) as ds:
+            assert ds.progress_marker["writing"] is True
+            with pytest.raises(BadArguments, match="Rebuild"):
+                run_external_blocked(ds, b, io_block_elems=1 << 4)

@@ -7,9 +7,7 @@ import pytest
 from bigwht.core import Signal, fwht_array, fwht_inplace
 from bigwht.errors import InvalidWorkerCount, ValidationError
 from bigwht.parallel import (
-    ParallelPlan,
-    Phase,
-    Workload,
+    StagePlan,
     check_disjoint,
     plan_parallel,
     run_parallel,
@@ -20,12 +18,11 @@ from bigwht.parallel import (
 class TestPlan:
     def test_phase_structure(self):
         plan = plan_parallel(10, 3)
-        assert len(plan.phases) == 4
-        assert plan.phases[0].stage is None
-        assert len(plan.phases[0].chunks) == 8
-        for phase, k in zip(plan.phases[1:], (7, 8, 9)):
-            assert phase.stage == k
-            assert len(phase.workloads) == 8
+        assert plan.q == 4
+        assert len(plan.chunks()) == 8
+        assert list(plan.stages) == [7, 8, 9]
+        for k in plan.stages:
+            assert len(list(plan.runs(k))) == 8
 
     def test_four_worker_reference_tuples(self):
         # m = 4: stage n-2 starts at {0, 2^(n-3), 2^(n-1), 2^(n-1)+2^(n-3)}
@@ -33,30 +30,35 @@ class TestPlan:
         # stride 2^(n-1); every workload runs 2^(n-3) butterflies.
         for n in (5, 10, 16):
             plan = plan_parallel(n, 2)
-            first = plan.phases[1]
-            assert first.stage == n - 2
-            assert [w.start for w in first.workloads] == [
-                0, 1 << (n - 3), 1 << (n - 1), (1 << (n - 1)) + (1 << (n - 3)),
+            first, last = plan.stages
+            assert first == n - 2
+            assert [(s, 1 << first) for s in plan.runs(first)] == [
+                (0, 1 << (n - 2)),
+                (1 << (n - 3), 1 << (n - 2)),
+                (1 << (n - 1), 1 << (n - 2)),
+                ((1 << (n - 1)) + (1 << (n - 3)), 1 << (n - 2)),
             ]
-            assert all(w.stride == 1 << (n - 2) for w in first.workloads)
-            assert all(w.count == 1 << (n - 3) for w in first.workloads)
-            last = plan.phases[2]
-            assert last.stage == n - 1
-            assert [w.start for w in last.workloads] == [
-                i << (n - 3) for i in range(4)
+            assert plan.run_elems == 1 << (n - 3)
+            assert last == n - 1
+            assert [(s, 1 << last) for s in plan.runs(last)] == [
+                (i << (n - 3), 1 << (n - 1)) for i in range(4)
             ]
-            assert all(w.stride == 1 << (n - 1) for w in last.workloads)
 
     def test_n3_p1_by_hand(self):
         # Stage 2 pairs (pt, pt+4) for pt in 0..3; two workers split that
         # into runs starting at 0 and 2, two butterflies each.
         plan = plan_parallel(3, 1)
-        assert len(plan.phases) == 2
-        assert plan.phases[0].chunks == ((0, 4), (4, 4))
-        assert plan.phases[1].workloads == (
-            Workload(start=0, stride=4, count=2),
-            Workload(start=2, stride=4, count=2),
-        )
+        assert plan.q == 2
+        assert [(c, 1 << plan.block_log2) for c in plan.chunks()] == [(0, 4), (4, 4)]
+        assert list(plan.stages) == [2]
+        assert [(s, 1 << 2, plan.run_elems) for s in plan.runs(2)] == [
+            (0, 4, 2), (2, 4, 2),
+        ]
+
+    def test_is_the_stage_plan_with_b_n_minus_p(self):
+        for n in range(2, 16):
+            for p in range(1, n):
+                assert plan_parallel(n, p) == StagePlan(n, n - p, 1 << (n - 1 - p))
 
     def test_worker_count_validation(self):
         with pytest.raises(InvalidWorkerCount):
@@ -70,18 +72,14 @@ class TestPlan:
                 check_disjoint(plan_parallel(n, p))
 
     def test_checker_catches_overlap(self):
-        bad = ParallelPlan(
-            log2_dim=3,
-            log2_workers=1,
-            phases=(
-                Phase(stage=2, workloads=(
-                    Workload(start=0, stride=4, count=2),
-                    Workload(start=1, stride=4, count=2),
-                )),
-            ),
-        )
+        # S = 3 is no power of two: stage 2's runs [0, 3) and [3, 6) pair
+        # with [4, 7) and [7, 10), so the second task meets the first.
         with pytest.raises(ValidationError):
-            check_disjoint(bad)
+            check_disjoint(StagePlan(log2_dim=4, block_log2=2, run_elems=3))
+        # S = 4 > 2**1: stage 1's runs [0, 4) and [4, 8) pair with [2, 6)
+        # and [6, 10), past the end of the 8 elements.
+        with pytest.raises(ValidationError):
+            check_disjoint(StagePlan(log2_dim=3, block_log2=1, run_elems=4))
 
     def test_work_conservation(self):
         for n in range(2, 18):
@@ -151,9 +149,9 @@ class TestRun:
     def test_worker_failure_propagates(self, monkeypatch):
         import bigwht.parallel as par
 
-        def explode(buf, workload):
+        def explode(lo, hi):
             raise RuntimeError("injected worker failure")
 
-        monkeypatch.setattr(par, "_run_workload", explode)
+        monkeypatch.setattr(par, "butterfly", explode)
         with pytest.raises(RuntimeError, match="injected"):
             run_parallel(Signal(np.zeros(64, dtype=np.int64)), plan_parallel(6, 2))
