@@ -97,11 +97,15 @@ def check_magnitude_bound(data: np.ndarray, log2_dim: int) -> None:
 
     Checked once at entry: every intermediate of an n-stage transform is
     bounded by M * 2**n, so this single test makes the whole run
-    overflow-free without per-addition checks.
+    overflow-free without per-addition checks. The maximum and minimum
+    are taken together tile by tile, one sweep over RAM.
     """
     if data.dtype != np.int64 or data.size == 0:
         return
-    magnitude = max(int(data.max()), -int(data.min()))
+    magnitude = 0
+    for start in range(0, data.size, TILE_ELEMS):
+        part = data[start : start + TILE_ELEMS]
+        magnitude = max(magnitude, int(part.max()), -int(part.min()))
     if magnitude << log2_dim >= _INT64_LIMIT:
         raise OverflowBoundError(
             f"max |x| = {magnitude} with n = {log2_dim} can overflow int64; "
@@ -116,20 +120,32 @@ def _butterfly(lo: np.ndarray, hi: np.ndarray, tmp: np.ndarray) -> None:
     hi[...] = tmp
 
 
-def _row_stages(flat: np.ndarray, first: int, last: int, tmp: np.ndarray) -> None:
-    """Stages first .. last-1 (stride 2**k) over a contiguous 1-D array."""
-    for k in range(first, last):
-        pairs = flat.reshape(-1, 2, 1 << k)
-        lo = pairs[:, 0, :]
-        _butterfly(lo, pairs[:, 1, :], tmp[: lo.size].reshape(lo.shape))
-
-
 def _butterfly_slices(lo: np.ndarray, hi: np.ndarray, tmp: np.ndarray) -> None:
     """Butterfly two equal-length 1-D views, ``tmp.size`` elements at a time."""
     step = tmp.size
     for off in range(0, lo.size, step):
         end = min(off + step, lo.size)
         _butterfly(lo[off:end], hi[off:end], tmp[: end - off])
+
+
+def _quad(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+          temps: list[np.ndarray]) -> None:
+    """Stages k and k + 1 over four equal 1-D views 2**k apart, in place.
+
+    (a, b, c, d) <- (a+b + c+d, a-b + c-d, a+b - (c+d), a-b - (c-d)):
+    the stage-k sums and differences go to the four scratch views
+    ``temps``, then stage k + 1 combines them, so every addition has the
+    operands of the plain stage-by-stage loop.
+    """
+    s0, s1, s2, s3 = temps
+    np.add(a, b, out=s0)
+    np.subtract(a, b, out=s1)
+    np.add(c, d, out=s2)
+    np.subtract(c, d, out=s3)
+    np.add(s0, s2, out=a)
+    np.subtract(s0, s2, out=c)
+    np.add(s1, s3, out=b)
+    np.subtract(s1, s3, out=d)
 
 
 def butterfly(lo: np.ndarray, hi: np.ndarray) -> None:
@@ -151,15 +167,19 @@ def fwht_array(buf: np.ndarray) -> int:
     (a + b, a - b). Returns the number of butterflies executed, which is
     always n * 2**(n-1).
 
-    Stages below TILE_LOG2 run tile by tile. A tile of 2**t elements
-    (t = min(n, TILE_LOG2)) is viewed as a 2**(t-h) x 2**h matrix,
-    h = t // 2, whose columns are the low h index bits. Copied transposed
-    into scratch, stages 0 .. h-1 become row stages there; copied back,
-    stages h .. t-1 are row stages in place. Every numpy call then runs
-    inner loops of at least 2**(t-h) elements over cache-resident data.
-    Stages t .. n-1 pair half-tile slices. Each butterfly sees the same
+    Stages below TILE_LOG2 run tile by tile, on tiles of 2**t elements
+    (t = min(n, TILE_LOG2)), in constant geometry (Pease): each stage
+    butterflies neighbours 2i, 2i + 1 of the source into slots i and
+    i + 2**(t-1) of the destination, two 1-D numpy calls, and source
+    and destination swap between the tile and one tile of scratch. A
+    stage rotates the index bits right by one, so stage s pairs the
+    elements that differ in bit s, and after t stages the tile is back
+    in natural order (in the scratch when t is odd, copied back once).
+    Stages t .. n-1 run two at a time as radix-4 sweeps over four
+    quarter-tile slices 2**k apart, with a single radix-2 sweep over
+    half-tile slices when n - t is odd. Each butterfly sees the same
     operands as in the plain stage-by-stage loop, so int64 and float64
-    output is bit-identical to it. Scratch is 1.5 tiles, allocated per
+    output is bit-identical to it. Scratch is one tile, allocated per
     call so concurrent callers on disjoint buffers are safe.
     """
     if not buf.flags.c_contiguous:
@@ -167,22 +187,34 @@ def fwht_array(buf: np.ndarray) -> int:
     dim = int(buf.shape[0])
     n = dim.bit_length() - 1
     t = min(n, TILE_LOG2)
-    h = t // 2
-    tile = np.empty((1 << h, 1 << (t - h)), dtype=buf.dtype)
-    tmp = np.empty((1 << t) >> 1, dtype=buf.dtype)
-    flat = tile.reshape(-1)
-    for start in range(0, dim, 1 << t):
-        block = buf[start : start + (1 << t)]
-        matrix = block.reshape(1 << (t - h), 1 << h)
-        np.copyto(tile, matrix.T)
-        _row_stages(flat, t - h, t, tmp)
-        np.copyto(matrix, tile.T)
-        _row_stages(block, h, t, tmp)
-    for k in range(t, n):
+    size = 1 << t
+    half = size >> 1
+    scratch = np.empty(size, dtype=buf.dtype)
+    for start in range(0, dim, size):
+        src, dst = buf[start : start + size], scratch
+        for _ in range(t):
+            np.add(src[0::2], src[1::2], out=dst[:half])
+            np.subtract(src[0::2], src[1::2], out=dst[half:])
+            src, dst = dst, src
+        if t & 1:
+            np.copyto(dst, src)
+    quarter = size >> 2
+    temps = [scratch[i * quarter : (i + 1) * quarter] for i in range(4)]
+    k = t
+    while k + 1 < n:
+        stride = 1 << k
+        for base in range(0, dim, stride << 2):
+            for off in range(base, base + stride, quarter):
+                a, b, c, d = (buf[off + i * stride : off + i * stride + quarter]
+                              for i in range(4))
+                _quad(a, b, c, d, temps)
+        k += 2
+    if k < n:
         stride = 1 << k
         for base in range(0, dim, stride << 1):
             _butterfly_slices(
-                buf[base : base + stride], buf[base + stride : base + (stride << 1)], tmp
+                buf[base : base + stride], buf[base + stride : base + (stride << 1)],
+                scratch[:half],
             )
     return (n << n) >> 1
 

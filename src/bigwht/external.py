@@ -20,9 +20,10 @@ Pass 0 runs each superblock on the thread schedule of ``parallel``, with
 2**p workers for the process's usable CPUs (p = floor(log2 CPUs), capped
 at B - 1; p = 0 is the serial kernel). Reads, the bound check and writes
 stay on the calling thread, in order, so pass 0 holds one 2**B superblock
-plus about 768 KiB of kernel scratch per worker. Meanwhile the dataset
-handle writes back behind the passes on a background sync thread, so the
-flush that ends each pass waits only for the last few megabytes.
+plus one 2**16-element tile (512 KiB) of kernel scratch per worker.
+Meanwhile the dataset handle writes back behind the passes on a
+background sync thread, so the flush that ends each pass waits only for
+the last few megabytes.
 
 No marker is written before the run's first payload write, so a run that
 is refused or fails before then (say, on the first superblock's read or

@@ -3,6 +3,7 @@ fast path must agree with it exactly."""
 
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -178,7 +179,9 @@ class TestTiledKernel:
     """Dimensions below, at and above the tile size TILE_LOG2 = 16."""
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 18])
+    # Odd t (n = 3, 5) ends the tile stages in the scratch; n = 19 is one
+    # radix-4 sweep plus a radix-2 one, n = 20 two radix-4 sweeps.
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 18, 2, 3, 5, 19, 20])
     def test_matches_stagewise_loop(self, n, dtype):
         x = tile_boundary_input(n, dtype, 1)
         expected = stagewise_fwht(x.copy())
@@ -187,7 +190,7 @@ class TestTiledKernel:
         assert np.array_equal(got, expected)  # bit-identical, not approx
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 18])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 18, 19, 20])
     def test_concurrent_halves(self, n, dtype):
         x = tile_boundary_input(n, dtype, 2)
         expected = x.copy()
@@ -206,6 +209,16 @@ class TestTiledKernel:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, expected)
+
+    def test_scratch_is_one_tile(self):
+        x = tile_boundary_input(18, np.int64, 3)
+        tracemalloc.start()
+        try:
+            fwht_array(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= TILE_ELEMS * x.itemsize * 5 // 4
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("length", [1, 5, TILE_ELEMS // 2, TILE_ELEMS + 3])
@@ -302,3 +315,15 @@ def test_magnitude_bound_edge():
     with pytest.raises(OverflowBoundError):
         check_magnitude_bound(data, 10)
     check_magnitude_bound(np.array([(1 << 53) - 1, 0], dtype=np.int64), 10)
+
+
+@pytest.mark.parametrize("length", [4 * TILE_ELEMS, 3 * TILE_ELEMS + 5])
+def test_magnitude_bound_negative_minimum_in_last_slice(length):
+    # The bound is checked slice by slice; the one offending value is the
+    # last element, and it is negative.
+    data = np.full(length, (1 << 53) - 1, dtype=np.int64)
+    data[-1] = -(1 << 53)
+    with pytest.raises(OverflowBoundError, match=f"max \\|x\\| = {1 << 53} "):
+        check_magnitude_bound(data, 10)
+    data[-1] += 1
+    check_magnitude_bound(data, 10)
