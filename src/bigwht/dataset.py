@@ -17,6 +17,7 @@ import json
 import mmap
 import os
 import shutil
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -121,27 +122,47 @@ def _transfer(fd: int, call, view: memoryview, offset: int, what: str) -> None:
 
 class IoStats:
     """Running counters over a dataset handle, used by the pass-accounting
-    and fault-injection tests."""
+    and fault-injection tests.
 
-    __slots__ = ("reads", "writes", "elements_read", "elements_written")
+    Updates take a lock: ``+=`` on an attribute is a read and a write, so
+    two threads reading one handle could otherwise lose counts.
+    """
+
+    __slots__ = ("reads", "writes", "elements_read", "elements_written", "_lock")
 
     def __init__(self) -> None:
         self.reads = 0
         self.writes = 0
         self.elements_read = 0
         self.elements_written = 0
+        self._lock = threading.Lock()
+
+    def count_read(self, elements: int) -> None:
+        with self._lock:
+            self.reads += 1
+            self.elements_read += elements
+
+    def count_write(self, elements: int) -> None:
+        with self._lock:
+            self.writes += 1
+            self.elements_written += elements
 
     def snapshot(self) -> tuple[int, int, int, int]:
-        return (self.reads, self.writes, self.elements_read, self.elements_written)
+        with self._lock:
+            return (self.reads, self.writes, self.elements_read,
+                    self.elements_written)
 
 
 class DatasetFile:
-    """Handle to an on-disk signal; confine each handle to one thread.
+    """Handle to an on-disk signal.
 
-    ``fault_hook``, when set, is called as hook(op, start, count) before
-    every I/O operation and may raise to simulate failures. It always runs
-    on the caller's thread; only the background fdatasync runs on the
-    handle's one sync worker, which ``close`` shuts down.
+    ``read_block`` may run on several threads at once (the streaming fold
+    reads one handle from a worker per CPU); every other method belongs
+    to one thread at a time. ``fault_hook``, when set, is called as
+    hook(op, start, count) before every I/O operation and may raise to
+    simulate failures. It runs on the thread that issues the I/O; the
+    background fdatasync runs on the handle's one sync worker, which
+    ``close`` shuts down.
     """
 
     def __init__(self, path: str, meta: dict, direct: bool = False):
@@ -176,6 +197,7 @@ class DatasetFile:
         self._f = None
         self._align = io_alignment()
         self._buf = mmap.mmap(-1, max(self._align, 1 << 20))
+        self._buf_lock = threading.Lock()  # concurrent reads share _buf
 
     # -- metadata ---------------------------------------------------------
 
@@ -233,15 +255,34 @@ class DatasetFile:
                 f"block [{start}, {start + count}) outside [0, {self.dim})"
             )
 
-    def read_block(self, start: int, count: int) -> np.ndarray:
-        """Read ``count`` elements from ``start``; returns a writable array."""
+    def read_block(
+        self, start: int, count: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Read ``count`` elements from ``start`` and return them.
+
+        Without ``out`` the elements land in a new writable array. With it
+        they fill ``out``, which must be a writable C-contiguous 1-D array
+        of ``count`` elements of the dataset's dtype, and ``out`` is
+        returned, so a loop can reuse one buffer.
+        """
         self._check_bounds(start, count)
+        if out is None:
+            out = np.empty(count, dtype=self.dtype)
+        elif not (
+            isinstance(out, np.ndarray)
+            and out.shape == (count,)
+            and out.dtype == self.dtype
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise BadArguments(
+                f"out must be a writable C-contiguous array of {count} "
+                f"{self.dtype} elements"
+            )
         if self.fault_hook is not None:
             self.fault_hook("read", start, count)
-        out = np.empty(count, dtype=self.dtype)
         self._move(os.preadv, memoryview(out).cast("B"), start * ELEMENT_BYTES, "read")
-        self.stats.reads += 1
-        self.stats.elements_read += count
+        self.stats.count_read(count)
         return out
 
     def write_block(self, start: int, data: np.ndarray) -> None:
@@ -257,8 +298,7 @@ class DatasetFile:
             self.fault_hook("write", start, data.shape[0])
         raw = np.ascontiguousarray(data, dtype=self.dtype)
         self._move(os.pwritev, memoryview(raw).cast("B"), start * ELEMENT_BYTES, "write")
-        self.stats.writes += 1
-        self.stats.elements_written += data.shape[0]
+        self.stats.count_write(data.shape[0])
         self._unsynced += raw.nbytes
         if self._unsynced >= SYNC_BEHIND_BYTES:
             self._sync_behind()
@@ -303,15 +343,16 @@ class DatasetFile:
             )
         # O_DIRECT needs an aligned buffer and caller arrays are not
         # page-aligned, so each chunk passes through the mmap'd bounce buffer.
-        bounce = memoryview(self._buf)
-        for pos in range(0, len(view), len(bounce)):
-            chunk = view[pos : pos + len(bounce)]
-            staged = bounce[: len(chunk)]
-            if what == "write":
-                staged[:] = chunk
-            _transfer(self._fd, call, staged, offset + pos, "direct " + what)
-            if what == "read":
-                chunk[:] = staged
+        with self._buf_lock:
+            bounce = memoryview(self._buf)
+            for pos in range(0, len(view), len(bounce)):
+                chunk = view[pos : pos + len(bounce)]
+                staged = bounce[: len(chunk)]
+                if what == "write":
+                    staged[:] = chunk
+                _transfer(self._fd, call, staged, offset + pos, "direct " + what)
+                if what == "read":
+                    chunk[:] = staged
 
     # -- lifecycle --------------------------------------------------------
 

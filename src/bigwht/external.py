@@ -19,11 +19,14 @@ read pt + 2**k, write both, one element per operation.
 Pass 0 runs each superblock on the thread schedule of ``parallel``, with
 2**p workers for the process's usable CPUs (p = floor(log2 CPUs), capped
 at B - 1; p = 0 is the serial kernel). Reads, the bound check and writes
-stay on the calling thread, in order, so pass 0 holds one 2**B superblock
-plus one 2**16-element tile (512 KiB) of kernel scratch per worker.
-Meanwhile the dataset handle writes back behind the passes on a
-background sync thread, so the flush that ends each pass waits only for
-the last few megabytes.
+stay on the calling thread, in order. Memory stays within the 2**B
+budget: pass 0 holds one 2**B superblock buffer, which every superblock
+read (and the overflow undo) reuses, plus one 2**16-element tile
+(512 KiB) of kernel scratch per worker; a stage pass holds two S-element
+run buffers, which every pair of runs reuses, plus half a tile of
+butterfly scratch. Meanwhile the dataset handle writes back behind the
+passes on a background sync thread, so the flush that ends each pass
+waits only for the last few megabytes.
 
 No marker is written before the run's first payload write, so a run that
 is refused or fails before then (say, on the first superblock's read or
@@ -44,6 +47,8 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bits import is_power_of_two
 from .core import butterfly, check_magnitude_bound, fwht_array
@@ -255,17 +260,20 @@ def _initial_pass(ds: DatasetFile, plan: StagePlan) -> None:
     n, b = plan.log2_dim, plan.block_log2
     p = max(0, min(usable_cpus().bit_length() - 1, b - 1))
     block_plan = plan_parallel(b, p) if p else None
+    # One superblock buffer for the whole pass: a fresh array per read
+    # would hold two superblocks while the old one is still bound.
+    block = np.empty(1 << b, dtype=ds.dtype)
     # Threads start on first submit, so the serial case starts none.
     with ThreadPoolExecutor(max_workers=1 << p) as pool:
         for done, start in enumerate(plan.chunks()):
-            block = ds.read_block(start, 1 << b)
+            ds.read_block(start, 1 << b, out=block)
             # The original data streams by exactly once here, so this is
             # where the whole-transform magnitude bound gets enforced.
             try:
                 check_magnitude_bound(block, n)
             except OverflowBoundError:
                 if done:  # superblocks 0 .. done-1 are written: undo them
-                    _undo_superblocks(ds, plan, done)
+                    _undo_superblocks(ds, plan, done, block)
                 raise
             if block_plan is None:
                 fwht_array(block)
@@ -274,15 +282,18 @@ def _initial_pass(ds: DatasetFile, plan: StagePlan) -> None:
             ds.write_block(start, block)
 
 
-def _undo_superblocks(ds: DatasetFile, plan: StagePlan, count: int) -> None:
-    """Restore the first ``count`` superblocks and clear the marker.
+def _undo_superblocks(
+    ds: DatasetFile, plan: StagePlan, count: int, block: np.ndarray
+) -> None:
+    """Restore the first ``count`` superblocks through the superblock
+    buffer ``block``, and clear the marker.
 
     Exact: H * H = 2**B * I, and these int64 values passed the bound. A
     kill in here leaves ``writing: true``, which every later run refuses.
     """
     size = 1 << plan.block_log2
     for start in plan.chunks()[:count]:
-        block = ds.read_block(start, size)
+        ds.read_block(start, size, out=block)
         fwht_array(block)
         block //= size
         ds.write_block(start, block)
@@ -291,15 +302,18 @@ def _undo_superblocks(ds: DatasetFile, plan: StagePlan, count: int) -> None:
 
 
 def _blocked_stage_pass(ds: DatasetFile, plan: StagePlan, stage: int) -> None:
-    """Stage k via paired S-element blocks from disjoint file regions.
+    """Stage k via paired S-element blocks from disjoint file regions,
+    read into two run buffers that the whole pass reuses.
 
     With S = 1 the loop order is the entry-wise skip rule: pt runs over
     the indices whose bit k is clear, each paired with pt + 2**k.
     """
     j, s = 1 << stage, plan.run_elems
+    lo = np.empty(s, dtype=ds.dtype)
+    hi = np.empty(s, dtype=ds.dtype)
     for pt in plan.runs(stage):
-        lo = ds.read_block(pt, s)
-        hi = ds.read_block(pt + j, s)
+        ds.read_block(pt, s, out=lo)
+        ds.read_block(pt + j, s, out=hi)
         butterfly(lo, hi)
         ds.write_block(pt, lo)
         ds.write_block(pt + j, hi)

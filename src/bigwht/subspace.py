@@ -12,6 +12,7 @@ measures empirically.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .bits import is_power_of_two, parity_array
 from .core import Domain, Signal
 from .dataset import DatasetFile
 from .errors import BadArguments, BadDims, BadMetadata, DimMismatch
+from .parallel import usable_cpus
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,10 @@ def random_full_rank(d_in: int, d_out: int, seed) -> LinearMap:
     rng = np.random.default_rng(seed)
     while True:
         candidate = rng.integers(0, 2, size=(d_out, d_in), dtype=np.uint8)
-        if gf2_rank(candidate) == d_out:
-            return LinearMap(candidate)
+        try:
+            return LinearMap(candidate)  # validates the rank once
+        except BadDims:
+            continue
 
 
 def apply_map(lmap: LinearMap, index: int) -> int:
@@ -163,29 +167,56 @@ def image_table(lmap: LinearMap, log2_count: int) -> np.ndarray:
     return _subset_xor(lmap.column_masks()[:log2_count])
 
 
+# fold_dataset's default block, which fold() also uses so the two agree
+# bit for bit on float64.
+_BLOCK_ELEMS = 1 << 16
+
+
 def fold(sig: Signal, lmap: LinearMap) -> Signal:
-    """x'[j'] = sum of x[j] over the preimage L.j = j'; mass-preserving."""
+    """x'[j'] = sum of x[j] over the preimage L.j = j'; mass-preserving.
+
+    Runs ``fold_dataset``'s block routine over slices of ``sig.data``
+    with its default block, so the two return the same bytes.
+    """
     if sig.domain != Domain.TIME:
         raise BadArguments("fold is defined on time-domain signals")
     if sig.log2_dim != lmap.d_in:
         raise DimMismatch(
             f"signal has n={sig.log2_dim}, map expects d_in={lmap.d_in}"
         )
-    out = np.zeros(1 << lmap.d_out, dtype=sig.data.dtype)
-    np.add.at(out, image_table(lmap, lmap.d_in), sig.data)
-    return Signal(out, Domain.TIME)
+    data = sig.data
+    block = min(_BLOCK_ELEMS, data.shape[0])
+
+    def slices():
+        return lambda start: data[start : start + block]
+
+    return Signal(_fold_blocks(slices, data.shape[0], block, lmap, data.dtype),
+                  Domain.TIME)
 
 
 def fold_dataset(
-    ds: DatasetFile, lmap: LinearMap, io_block_elems: int = 1 << 16
+    ds: DatasetFile, lmap: LinearMap, io_block_elems: int = _BLOCK_ELEMS
 ) -> np.ndarray:
     """Streaming fold: one linear scan of the source dataset, accumulating
     into an in-memory array of 2**d_out elements.
 
     ``io_block_elems`` must be a power of two. Blocks then start at
     multiples of their length, so start + off = start XOR off and
-    L . (start + off) = L . start XOR table[off]: one table of block
-    length serves every block.
+    L . (start + off) = L . start XOR L . off: one offset table of block
+    length serves every block. When 8 * 2**d_out <= block, each block
+    sums into a 2**d_out partial through that table, and the partial
+    joins the result by one gather at i XOR L . start; otherwise the
+    block's values go straight into the result at table XOR L . start.
+
+    int64 blocks are split into contiguous ranges, one per usable CPU
+    (at most one per block). Each worker reads into its own reused
+    buffer and sums into its own array, and the arrays are added in
+    range order; int64 sums wrap, so the bytes do not depend on the
+    worker count. float64 folds run on one worker so that their rounding
+    is fixed: within a block values are added in index order (into the
+    partial, or straight into the result), and blocks in block order.
+    Memory: per worker one block buffer plus two or three arrays of
+    2**d_out elements (or one of block length without partials).
     """
     if ds.domain != "time":
         raise BadArguments(f"{ds.path} is not time-domain")
@@ -198,16 +229,65 @@ def fold_dataset(
             f"io_block_elems must be a power of two, got {io_block_elems}"
         )
     block = min(io_block_elems, ds.dim)
-    table = image_table(lmap, block.bit_length() - 1)
-    targets = np.empty(block, dtype=np.int64)
+
+    def reads_into_own_buffer():
+        buf = np.empty(block, dtype=ds.dtype)
+        return lambda start: ds.read_block(start, block, out=buf)
+
+    return _fold_blocks(reads_into_own_buffer, ds.dim, block, lmap, ds.dtype)
+
+
+def _fold_blocks(make_reader, dim: int, block: int, lmap: LinearMap,
+                 dtype) -> np.ndarray:
+    """The fold behind ``fold`` and ``fold_dataset``.
+
+    ``make_reader()`` runs once per worker and returns read(start), which
+    gives the ``block`` elements from ``start`` as an array of ``dtype``.
+    """
+    size = 1 << lmap.d_out
     # np.add.at takes its fast path only when the accumulator and the
-    # values share one dtype descriptor; read_block returns plain ones.
-    acc_dtype = np.int64 if ds.element_kind == "int64" else np.float64
-    out = np.zeros(1 << lmap.d_out, dtype=acc_dtype)
-    for start in range(0, ds.dim, block):
-        chunk = ds.read_block(start, block)
-        np.bitwise_xor(table, np.int64(apply_map(lmap, start)), out=targets)
-        np.add.at(out, targets, chunk)
+    # values share one dtype descriptor, so accumulate in plain ones.
+    acc_dtype = np.dtype(np.int64 if dtype.kind == "i" else np.float64)
+    b = block.bit_length() - 1
+    table = image_table(lmap, b)  # L . off
+    highs = _subset_xor(lmap.column_masks()[b:])  # L . start, start = i * block
+    use_partials = 8 * size <= block
+
+    def fold_range(blocks: range) -> np.ndarray:
+        read = make_reader()
+        acc = np.zeros(size, dtype=acc_dtype)
+        if use_partials:
+            partial = np.empty(size, dtype=acc_dtype)
+            gathered = np.empty(size, dtype=acc_dtype)
+            index = np.arange(size, dtype=np.int64)
+            shifted = np.empty(size, dtype=np.int64)
+        else:
+            targets = np.empty(block, dtype=np.int64)
+        for i in blocks:
+            chunk = read(i * block)
+            if use_partials:
+                partial.fill(0)
+                np.add.at(partial, table, chunk)
+                np.bitwise_xor(index, highs[i], out=shifted)
+                np.take(partial, shifted, out=gathered)
+                acc += gathered
+            else:
+                np.bitwise_xor(table, highs[i], out=targets)
+                np.add.at(acc, targets, chunk)
+        return acc
+
+    count = dim // block
+    workers = min(usable_cpus(), count) if acc_dtype.kind == "i" else 1
+    ranges = [range(count * w // workers, count * (w + 1) // workers)
+              for w in range(workers)]
+    if workers == 1:
+        return fold_range(ranges[0])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fold_range, r) for r in ranges]
+    # The pool has shut down, so a worker's exception surfaces here.
+    out = futures[0].result()
+    for future in futures[1:]:
+        out += future.result()
     return out
 
 

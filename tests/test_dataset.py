@@ -4,6 +4,7 @@ consistency, and the error surface."""
 import errno
 import json
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -147,6 +148,59 @@ class TestBlockIo:
             assert ds.stats.elements_read == 5
             assert ds.stats.writes == 1
             assert ds.stats.reads == 2
+
+
+    def test_read_into_out(self, path):
+        data = np.arange(16, dtype=np.int64) - 8
+        ops = []
+        with dataset.create(path, 4, "int64") as ds:
+            ds.write_block(0, data)
+            ds.fault_hook = lambda op, start, count: ops.append((op, start, count))
+            buf = np.full(4, 99, dtype=np.int64)
+            got = ds.read_block(8, 4, out=buf)
+            assert got is buf
+            assert buf.tolist() == data[8:12].tolist()
+            assert ds.stats.reads == 1 and ds.stats.elements_read == 4
+        assert ops == [("read", 8, 4)]
+
+    @pytest.mark.parametrize("out", [
+        np.empty(3, dtype=np.int64),  # wrong length
+        np.empty(4, dtype=np.float64),  # wrong dtype
+        np.empty(4, dtype=">i8"),  # wrong byte order
+        np.empty(8, dtype=np.int64)[::2],  # not contiguous
+        np.empty((2, 2), dtype=np.int64),  # not 1-D
+        [0, 0, 0, 0],  # not an array
+    ])
+    def test_read_into_bad_out_rejected(self, path, out):
+        with dataset.create(path, 4, "int64") as ds:
+            with pytest.raises(BadArguments):
+                ds.read_block(0, 4, out=out)
+            with pytest.raises(OutOfBounds):  # bounds are checked first
+                ds.read_block(14, 4, out=out)
+            assert ds.stats.reads == 0
+
+    def test_concurrent_reads_keep_every_count(self, path):
+        # Eight readers on one handle with a short switch interval: an
+        # unlocked += on the counters would lose updates.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with dataset.create(path, 12, "int64") as ds:
+                def reader(worker):
+                    buf = np.empty(4, dtype=np.int64)
+                    for start in range(worker * 4, 1 << 12, 8 * 4):
+                        ds.read_block(start, 4, out=buf)
+
+                threads = [threading.Thread(target=reader, args=(w,))
+                           for w in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert ds.stats.snapshot() == (1 << 10, 0, 1 << 12, 0)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTransferLoop:
@@ -427,6 +481,41 @@ class TestDirectIo:
     def test_round_trip_crosses_bounce_buffer(self, tmp_path):
         # 2**18 elements are 2 MiB, two fills of the 1 MiB bounce buffer.
         _direct_round_trip(tmp_path, 18)
+
+    def test_concurrent_reads_share_the_bounce_buffer(self, tmp_path):
+        # Four threads read one direct handle; each read must come back
+        # with its own bytes, not another thread's staged chunk.
+        path = str(tmp_path / "direct3.bin")
+        data = np.random.default_rng(6).integers(-99, 99, 1 << 16)
+        dataset.write_signal(path, data)
+        try:
+            ds = dataset.open_validated(path, direct=True)
+        except DirectIoUnsupported:
+            pytest.skip("direct I/O unsupported on this filesystem")
+        wrong = []
+
+        def reader(worker):
+            buf = np.empty(1 << 10, dtype=np.int64)
+            for rep in range(8):
+                for start in range(worker << 10, 1 << 16, 4 << 10):
+                    ds.read_block(start, 1 << 10, out=buf)
+                    if not np.array_equal(buf, data[start : start + (1 << 10)]):
+                        wrong.append(start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ds:
+                threads = [threading.Thread(target=reader, args=(w,))
+                           for w in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
     def test_misaligned_rejected(self, tmp_path):
         path = str(tmp_path / "direct2.bin")

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,45 @@ class TestThreadedPassZero:
         assert usable_cpus() == 4
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cpus() == 1
+
+
+class TestMemoryBudget:
+    """Pass 0 holds one 2**B superblock plus a tile of kernel scratch per
+    worker; a stage pass holds two S-element runs plus half a tile of
+    butterfly scratch. Measured with tracemalloc at n = 20, B = 18 on two
+    CPUs, with 64 KiB of slack for small objects."""
+
+    N, B = 20, 18
+    SLACK = 64 << 10
+
+    @pytest.fixture
+    def ds(self, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        path, _ = make_dataset(tmp_path, self.N, seed=53)
+        with dataset.open_validated(path) as handle:
+            yield handle
+
+    @staticmethod
+    def peak_bytes(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("s", [1 << 4, 1 << 17])
+    def test_pass_zero(self, ds, s):
+        plan = plan_external(self.N, self.B, ExternalMode.BLOCKED, 8 * s)
+        peak = self.peak_bytes(external._initial_pass, ds, plan.schedule)
+        assert peak <= 8 * (1 << self.B) + 2 * (512 << 10) + self.SLACK
+
+    @pytest.mark.parametrize("s", [1 << 4, 1 << 17])
+    def test_stage_pass(self, ds, s):
+        plan = plan_external(self.N, self.B, ExternalMode.BLOCKED, 8 * s)
+        peak = self.peak_bytes(external._blocked_stage_pass, ds,
+                               plan.schedule, self.B)
+        assert peak <= 2 * 8 * s + (256 << 10) + self.SLACK
 
 
 class TestSyncBehind:

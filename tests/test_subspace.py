@@ -2,6 +2,7 @@
 commutation identity (checked against the transform itself), and the
 fleet-coverage simulation."""
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from bigwht import dataset
 from bigwht.core import Domain, Signal, fwht_inplace
-from bigwht.errors import BadArguments, BadDims, BadMetadata, DimMismatch
+from bigwht.errors import (
+    BadArguments,
+    BadDims,
+    BadMetadata,
+    DimMismatch,
+    IoFailure,
+)
 from bigwht.subspace import (
     LinearMap,
     apply_map,
@@ -25,6 +32,8 @@ from bigwht.subspace import (
     row_space,
     save_map,
 )
+
+from conftest import set_cpus
 
 
 class TestRank:
@@ -142,6 +151,98 @@ class TestFold:
         table = image_table(lmap, 10)
         assert table.tolist() == [apply_map(lmap, j) for j in range(1 << 10)]
         assert np.array_equal(image_table(lmap, 6), table[: 1 << 6])
+
+
+class TestParallelFold:
+    """fold_dataset at n = 18 on 1, 2 and 4 workers. With the default
+    block of 2**16, d_out = 5 and 12 fold through block partials and
+    d_out = 15 adds each block straight into the result."""
+
+    N = 18
+
+    @pytest.fixture
+    def int_path(self, tmp_path):
+        rng = np.random.default_rng(30)
+        # Wide values, so per-worker sums wrap in int64.
+        x = rng.integers(-(1 << 62), 1 << 62, 1 << self.N, dtype=np.int64)
+        path = str(tmp_path / "int.bin")
+        dataset.write_signal(path, x)
+        return path, x
+
+    @staticmethod
+    def index_order_fold(x, lmap):
+        # Preimage sums in index order, wrapping like int64.
+        table = image_table(lmap, lmap.d_in)
+        out = np.zeros(1 << lmap.d_out, dtype=x.dtype)
+        np.add.at(out, table, x)
+        return out
+
+    @pytest.mark.parametrize("d_out", [5, 12, 15])
+    def test_int64_bytes_do_not_depend_on_cpus(self, int_path, monkeypatch,
+                                               d_out):
+        path, x = int_path
+        lmap = random_full_rank(self.N, d_out, seed=31 + d_out)
+        results = []
+        for cpus in (1, 2, 4):
+            set_cpus(monkeypatch, cpus)
+            with dataset.open_validated(path) as ds:
+                results.append(fold_dataset(ds, lmap).tobytes())
+        expected = self.index_order_fold(x, lmap).tobytes()
+        assert results == [expected] * 3
+        assert fold(Signal(x), lmap).data.tobytes() == expected
+
+    def test_float64_matches_fold_on_any_cpus(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=1 << self.N)
+        path = str(tmp_path / "float.bin")
+        dataset.write_signal(path, x)
+        for d_out in (5, 15):
+            lmap = random_full_rank(self.N, d_out, seed=33 + d_out)
+            results = []
+            for cpus in (1, 4):
+                set_cpus(monkeypatch, cpus)
+                with dataset.open_validated(path) as ds:
+                    results.append(fold_dataset(ds, lmap).tobytes())
+                results.append(fold(Signal(x), lmap).data.tobytes())
+            assert len(set(results)) == 1, d_out
+        # The documented order with partials (d_out = 5): index order
+        # within each 2**16 block, then the blocks' sums in block order.
+        lmap = random_full_rank(self.N, 5, seed=38)
+        table = image_table(lmap, self.N)
+        expected = np.zeros(1 << 5)
+        for start in range(0, 1 << self.N, 1 << 16):
+            partial = np.zeros(1 << 5)
+            np.add.at(partial, table[start : start + (1 << 16)],
+                      x[start : start + (1 << 16)])
+            expected += partial
+        assert fold(Signal(x), lmap).data.tobytes() == expected.tobytes()
+
+    def test_worker_failure_surfaces(self, int_path, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        path, _ = int_path
+        lmap = random_full_rank(self.N, 12, seed=34)
+        reads = []
+        lock = threading.Lock()
+
+        def hook(op, start, count):
+            with lock:
+                reads.append(start)
+                if len(reads) == 3:
+                    raise IoFailure("injected read failure")
+
+        with dataset.open_validated(path) as ds:
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure, match="injected"):
+                fold_dataset(ds, lmap, io_block_elems=1 << 14)
+
+    def test_reads_every_element_once(self, int_path, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        path, _ = int_path
+        lmap = random_full_rank(self.N, 12, seed=35)
+        with dataset.open_validated(path) as ds:
+            fold_dataset(ds, lmap)
+            assert ds.stats.elements_read == 1 << self.N
+            assert ds.stats.reads == (1 << self.N) // (1 << 16)
 
 
 class TestFoldedIndex:
