@@ -3,8 +3,11 @@
 The package supports two scalar kinds: int64 signals are transformed with
 exact integer arithmetic (the primary test vehicle -- equality-based
 checks need no tolerances), float64 signals serve the noise tooling.
-``wht_bruteforce`` evaluates the defining double sum directly and is the
-independent oracle every fast path is checked against.
+The forward kernel works in place with one tile of scratch, and the
+int64 inverse divides by 2**n with a bit test and an arithmetic shift,
+so neither allocates a full-size array. ``wht_bruteforce`` evaluates
+the defining double sum directly and is the independent oracle every
+fast path is checked against.
 """
 
 from __future__ import annotations
@@ -106,6 +109,15 @@ def check_magnitude_bound(data: np.ndarray, log2_dim: int) -> None:
     for start in range(0, data.size, TILE_ELEMS):
         part = data[start : start + TILE_ELEMS]
         magnitude = max(magnitude, int(part.max()), -int(part.min()))
+    check_magnitude(magnitude, log2_dim)
+
+
+def check_magnitude(magnitude: int, log2_dim: int) -> None:
+    """Raise OverflowBoundError unless magnitude * 2**log2_dim < 2**63.
+
+    The test behind ``check_magnitude_bound``, for callers that know the
+    maximum absolute value without sweeping an array.
+    """
     if magnitude << log2_dim >= _INT64_LIMIT:
         raise OverflowBoundError(
             f"max |x| = {magnitude} with n = {log2_dim} can overflow int64; "
@@ -250,25 +262,27 @@ def inverse_wht_inplace(sig: Signal) -> Signal:
     """Inverse transform in place: forward WHT followed by division by 2**n.
 
     int64 signals must produce exactly divisible intermediates; otherwise
-    the buffer is restored and InexactDivision raised. float64 scaling by
-    2**-n is exact (power of two).
+    the buffer is restored and InexactDivision raised. Division needs no
+    int64 division and no full-size temporary: in two's complement x is a
+    multiple of 2**n exactly when its low n bits are clear, which one OR
+    reduction over the buffer tests, and then x >> n is x / 2**n. float64
+    scaling by 2**-n is exact (power of two).
     """
     if sig.domain != Domain.WALSH:
         raise BadArguments("inverse transform expects a Walsh-domain signal")
     n = sig.log2_dim
-    dim = 1 << n
     check_magnitude_bound(sig.data, n)
     fwht_array(sig.data)
     if sig.is_exact:
-        if np.any(sig.data % dim != 0):
+        if int(np.bitwise_or.reduce(sig.data)) & ((1 << n) - 1):
             # Undo: the kernel is self-inverse up to 2**n, and that factor
             # divides exactly, so the original buffer is recoverable.
             fwht_array(sig.data)
-            sig.data //= dim
+            sig.data >>= n
             raise InexactDivision(
                 f"coefficients are not all divisible by 2**{n}"
             )
-        sig.data //= dim
+        sig.data >>= n
     else:
         sig.data *= 2.0 ** -n
     sig.domain = Domain.TIME

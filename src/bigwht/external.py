@@ -288,14 +288,15 @@ def _undo_superblocks(
     """Restore the first ``count`` superblocks through the superblock
     buffer ``block``, and clear the marker.
 
-    Exact: H * H = 2**B * I, and these int64 values passed the bound. A
-    kill in here leaves ``writing: true``, which every later run refuses.
+    Exact: H * H = 2**B * I, and these int64 values passed the bound,
+    so each transformed value is a multiple of 2**B and the arithmetic
+    shift by B divides it exactly. A kill in here leaves ``writing:
+    true``, which every later run refuses.
     """
-    size = 1 << plan.block_log2
     for start in plan.chunks()[:count]:
-        ds.read_block(start, size, out=block)
+        ds.read_block(start, block.size, out=block)
         fwht_array(block)
-        block //= size
+        block >>= plan.block_log2
         ds.write_block(start, block)
     ds.flush()
     ds.set_progress_marker(None)

@@ -1,11 +1,12 @@
 """Noisy sparse test signals, SNR accounting, and threshold extraction.
 
-Signals are constructed in the Walsh domain (planted coefficients at
-known indices) and inverse-transformed, so the ground truth for
-extraction tests is exact by construction. Additive time-domain noise of
-variance sigma**2 turns into approximately i.i.d. Walsh coefficients of
-variance 2**n * sigma**2 -- no Gaussian assumption needed, which is why
-Uniform and Rademacher kinds are first-class here.
+Signals are planted in the Walsh domain (coefficients at known indices)
+and brought to the time domain by one forward transform of the
+amplitudes scaled by 2**-n (exact int64) or by the float inverse, so the
+ground truth for extraction tests is exact by construction. Additive
+time-domain noise of variance sigma**2 turns into approximately i.i.d.
+Walsh coefficients of variance 2**n * sigma**2 -- no Gaussian assumption
+needed, which is why Uniform and Rademacher kinds are first-class here.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, Signal, check_magnitude_bound, fwht_array, \
-    inverse_wht_inplace, parseval_energy
+from .core import Domain, Signal, check_magnitude, check_magnitude_bound, \
+    fwht_array, inverse_wht_inplace, parseval_energy
 from .dataset import DatasetFile
 from .errors import BadArguments, BadSpec
+
+
+# Elements per int64 -> float64 addition in gen (see _add_slices).
+_CAST_SLICE = 1 << 12
 
 
 class NoiseKind(enum.Enum):
@@ -89,16 +94,33 @@ def gen(spec: NoisySignalSpec) -> tuple[Signal, Signal]:
 
     The clean signal's Walsh coefficients equal the planted amplitudes
     exactly. Amplitudes that are integer multiples of 2**n take the exact
-    int64 path; anything else (and Uniform/Gaussian noise) uses float64.
+    int64 path: each is shifted right by n (exact for a multiple of
+    2**n) and one forward transform makes the signal, so no inverse and
+    no division runs; the overflow bound is checked on the amplitudes.
+    Other amplitudes take float64 through ``inverse_wht_inplace``. The
+    noisy signal is float64 unless the clean signal and a Rademacher
+    sigma are both integers. Noise is built in place in the array
+    returned as the noisy signal, so gen holds its two returned arrays
+    (and one tile of kernel scratch while transforming); only Rademacher
+    noise with a fractional sigma briefly holds a third, its int64 signs.
     Deterministic under the spec's seed.
     """
     spec.validate()
-    dim = 1 << spec.log2_dim
-    exact = _exact_support(spec)
-    walsh = np.zeros(dim, dtype=np.int64 if exact else np.float64)
-    for idx, amp in spec.support:
-        walsh[idx] = int(amp) if exact else float(amp)
-    clean = inverse_wht_inplace(Signal(walsh, Domain.WALSH))
+    n = spec.log2_dim
+    dim = 1 << n
+    if _exact_support(spec):
+        amps = [int(amp) for _, amp in spec.support]
+        check_magnitude(max(map(abs, amps), default=0), n)
+        data = np.zeros(dim, dtype=np.int64)
+        for (idx, _), amp in zip(spec.support, amps):
+            data[idx] = amp >> n
+        fwht_array(data)
+        clean = Signal(data, Domain.TIME)
+    else:
+        walsh = np.zeros(dim, dtype=np.float64)
+        for idx, amp in spec.support:
+            walsh[idx] = float(amp)
+        clean = inverse_wht_inplace(Signal(walsh, Domain.WALSH))
 
     rng = np.random.default_rng(spec.seed)
     kind = spec.noise_kind
@@ -106,19 +128,41 @@ def gen(spec: NoisySignalSpec) -> tuple[Signal, Signal]:
         noisy = clean.copy()
         return clean, noisy
     if kind == NoiseKind.RADEMACHER:
-        signs = rng.integers(0, 2, dim) * 2 - 1
+        noise = _rademacher_signs(rng, dim)
         if clean.is_exact and float(spec.sigma).is_integer():
-            noise = signs * np.int64(int(spec.sigma))
-            data = clean.data + noise
-            check_magnitude_bound(data, spec.log2_dim)
-            return clean, Signal(data, Domain.TIME)
-        noise = signs * float(spec.sigma)
+            noise *= int(spec.sigma)
+            noise += clean.data
+            check_magnitude_bound(noise, n)
+            return clean, Signal(noise, Domain.TIME)
+        noise = noise * float(spec.sigma)
     elif kind == NoiseKind.UNIFORM:
         half_width = spec.sigma * math.sqrt(3.0)  # variance sigma**2
         noise = rng.uniform(-half_width, half_width, dim)
     else:
         noise = rng.normal(0.0, spec.sigma, dim)
-    return clean, Signal(clean.data.astype(np.float64) + noise, Domain.TIME)
+    _add_slices(noise, clean.data)
+    return clean, Signal(noise, Domain.TIME)
+
+
+def _add_slices(noise: np.ndarray, clean: np.ndarray) -> None:
+    """``noise += clean`` for float64 noise, slice by slice.
+
+    Float addition commutes, so this is ``clean.astype(float64) + noise``
+    bit for bit. numpy casts an int64 operand through a buffer of up to
+    8192 elements per call; slices of half that keep the buffer at
+    32 KiB, so gen's memory beyond its two arrays stays under 64 KiB.
+    """
+    for start in range(0, noise.size, _CAST_SLICE):
+        part = noise[start : start + _CAST_SLICE]
+        part += clean[start : start + _CAST_SLICE]
+
+
+def _rademacher_signs(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """``rng.integers(0, 2, dim) * 2 - 1``, built in the one int64 array."""
+    signs = rng.integers(0, 2, dim)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def snr(sig: Signal, sigma: float) -> SnrReport:
@@ -215,7 +259,11 @@ def extract_above_dataset(
 
 
 def _extract(chunk: np.ndarray, base: int, tau, hits: list) -> None:
-    picked = np.nonzero(np.abs(chunk) >= tau)[0]
+    # Signed bounds instead of |chunk| >= tau: no |x| array is made, and
+    # int64's -2**63, which np.abs wraps to itself, is not missed.
+    above = chunk >= tau
+    above |= chunk <= -tau
+    picked = np.nonzero(above)[0]
     exact = chunk.dtype.kind == "i"
     for off in picked.tolist():
         value = chunk[off]
@@ -244,7 +292,7 @@ def noise_walsh_variance_check(
             half_width = sigma * math.sqrt(3.0)
             noise = rng.uniform(-half_width, half_width, dim)
         elif kind == NoiseKind.RADEMACHER:
-            noise = (rng.integers(0, 2, dim) * 2 - 1) * float(sigma)
+            noise = _rademacher_signs(rng, dim) * float(sigma)
         elif kind == NoiseKind.GAUSSIAN:
             noise = rng.normal(0.0, sigma, dim)
         elif kind == NoiseKind.NONE:

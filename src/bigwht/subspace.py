@@ -12,6 +12,7 @@ measures empirically.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -212,9 +213,12 @@ def fold_dataset(
     (at most one per block). Each worker reads into its own reused
     buffer and sums into its own array, and the arrays are added in
     range order; int64 sums wrap, so the bytes do not depend on the
-    worker count. float64 folds run on one worker so that their rounding
-    is fixed: within a block values are added in index order (into the
-    partial, or straight into the result), and blocks in block order.
+    worker count. A worker that fails stops the others before their
+    next block read, and the failure of the first range that failed is
+    raised once the pool has shut down. float64 folds run on one worker
+    so that their rounding is fixed: within a block values are added in
+    index order (into the partial, or straight into the result), and
+    blocks in block order.
     Memory: per worker one block buffer plus two or three arrays of
     2**d_out elements (or one of block length without partials).
     """
@@ -252,6 +256,7 @@ def _fold_blocks(make_reader, dim: int, block: int, lmap: LinearMap,
     table = image_table(lmap, b)  # L . off
     highs = _subset_xor(lmap.column_masks()[b:])  # L . start, start = i * block
     use_partials = 8 * size <= block
+    stop = threading.Event()  # set by a failing worker; the others end early
 
     def fold_range(blocks: range) -> np.ndarray:
         read = make_reader()
@@ -263,17 +268,23 @@ def _fold_blocks(make_reader, dim: int, block: int, lmap: LinearMap,
             shifted = np.empty(size, dtype=np.int64)
         else:
             targets = np.empty(block, dtype=np.int64)
-        for i in blocks:
-            chunk = read(i * block)
-            if use_partials:
-                partial.fill(0)
-                np.add.at(partial, table, chunk)
-                np.bitwise_xor(index, highs[i], out=shifted)
-                np.take(partial, shifted, out=gathered)
-                acc += gathered
-            else:
-                np.bitwise_xor(table, highs[i], out=targets)
-                np.add.at(acc, targets, chunk)
+        try:
+            for i in blocks:
+                if stop.is_set():
+                    break
+                chunk = read(i * block)
+                if use_partials:
+                    partial.fill(0)
+                    np.add.at(partial, table, chunk)
+                    np.bitwise_xor(index, highs[i], out=shifted)
+                    np.take(partial, shifted, out=gathered)
+                    acc += gathered
+                else:
+                    np.bitwise_xor(table, highs[i], out=targets)
+                    np.add.at(acc, targets, chunk)
+        except BaseException:
+            stop.set()
+            raise
         return acc
 
     count = dim // block
@@ -284,7 +295,8 @@ def _fold_blocks(make_reader, dim: int, block: int, lmap: LinearMap,
         return fold_range(ranges[0])
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fold_range, r) for r in ranges]
-    # The pool has shut down, so a worker's exception surfaces here.
+    # The pool has shut down, so a worker's exception surfaces here; the
+    # partial sums of the workers it stopped are dropped with the raise.
     out = futures[0].result()
     for future in futures[1:]:
         out += future.result()

@@ -272,6 +272,35 @@ class TestInverse:
             inverse_wht_inplace(sig)
             assert np.array_equal(sig.data, x)
 
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_round_trip_over_several_tiles(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(-(1 << 20), 1 << 20, 1 << n)
+        x[:: 7] = -np.abs(x[:: 7]) - 1  # plenty of negative values
+        sig = Signal(x.copy())
+        fwht_inplace(sig)
+        inverse_wht_inplace(sig)
+        assert sig.domain == Domain.TIME
+        assert sig.data.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_inexact_only_in_last_tile_restores_buffer(self, n):
+        # A Walsh buffer whose forward transform is divisible by 2**n
+        # except on the last tile: y = 2**n z + 2**(n - 16) on the last
+        # tile, and H y / 2**n is an integer because the last tile is the
+        # coset where the top n - 16 index bits are all set.
+        rng = np.random.default_rng(n + 100)
+        y = rng.integers(-(1 << 10), 1 << 10, 1 << n) << n
+        y[-TILE_ELEMS:] += 1 << (n - 16)
+        fwht_array(y)
+        assert not np.any(y & ((1 << n) - 1))
+        walsh = y >> n
+        sig = Signal(walsh.copy(), Domain.WALSH)
+        with pytest.raises(InexactDivision):
+            inverse_wht_inplace(sig)
+        assert sig.domain == Domain.WALSH
+        assert sig.data.tobytes() == walsh.tobytes()
+
 
 class TestParseval:
     def test_constant_example(self):

@@ -2,14 +2,16 @@
 formula, significance thresholds, extraction ordering, and the Walsh
 noise-variance law."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bigwht import dataset
-from bigwht.core import Domain, Signal, fwht_inplace
-from bigwht.errors import BadArguments, BadSpec
+from bigwht.core import Domain, Signal, fwht_array, fwht_inplace
+from bigwht.errors import BadArguments, BadSpec, OverflowBoundError
 from bigwht.noisy import (
     NoiseKind,
     NoisySignalSpec,
@@ -88,6 +90,92 @@ class TestGen:
             gen(spec_for(3, [(8, 8)]))  # index out of range
         with pytest.raises(BadSpec):
             gen(spec_for(3, [], sigma=-1.0))
+
+
+GOLDEN_N = 12
+EXACT_SUPPORT = ((0, 5 << GOLDEN_N), (77, -(3 << GOLDEN_N)),
+                 (1234, 7 << GOLDEN_N), (4095, 1 << GOLDEN_N))
+FRACTIONAL_SUPPORT = ((3, 4.5), (100, -2.25), (2000, 1000.0))
+EXACT_CLEAN_SHA1 = "5857536090e5e2f160c4e6edb549b168b8d0be72"
+
+
+class TestGenGolden:
+    """SHA-1s of gen's output bytes, frozen from the build that divided a
+    dense Walsh array by 2**n after the transform."""
+
+    @pytest.mark.parametrize(
+        "support, kind, sigma, seed, dtypes, clean_sha1, noisy_sha1", [
+        (EXACT_SUPPORT, NoiseKind.NONE, 0.0, 1, ("int64", "int64"),
+         EXACT_CLEAN_SHA1, EXACT_CLEAN_SHA1),
+        (EXACT_SUPPORT, NoiseKind.RADEMACHER, 3.0, 2, ("int64", "int64"),
+         EXACT_CLEAN_SHA1, "8f647705d8a1f3731e4da6fa19bed37dc1993f2e"),
+        (EXACT_SUPPORT, NoiseKind.RADEMACHER, 1.5, 3, ("int64", "float64"),
+         EXACT_CLEAN_SHA1, "1b58e854f43da749f10f0bdbb2447dbd2a93eb4a"),
+        (EXACT_SUPPORT, NoiseKind.UNIFORM, 2.0, 4, ("int64", "float64"),
+         EXACT_CLEAN_SHA1, "0e8d4c58c75e4df9b990c33ad9564a4757b0698d"),
+        (EXACT_SUPPORT, NoiseKind.GAUSSIAN, 2.0, 5, ("int64", "float64"),
+         EXACT_CLEAN_SHA1, "931705598ad270199aaa4c71813e7882a503432d"),
+        (FRACTIONAL_SUPPORT, NoiseKind.RADEMACHER, 3.0, 6, ("float64", "float64"),
+         "d372423bf82f6f82399f851edac549bbab26c3d8",
+         "da86e780463f40e7796c639db81dcb55bc07686b"),
+    ], ids=["none", "rademacher-int", "rademacher-frac", "uniform", "gaussian",
+            "fractional-amplitudes"])
+    def test_bytes(self, support, kind, sigma, seed, dtypes, clean_sha1,
+                   noisy_sha1):
+        clean, noisy = gen(spec_for(GOLDEN_N, support, kind, sigma, seed))
+        assert (str(clean.data.dtype), str(noisy.data.dtype)) == dtypes
+        assert hashlib.sha1(clean.data.tobytes()).hexdigest() == clean_sha1
+        assert hashlib.sha1(noisy.data.tobytes()).hexdigest() == noisy_sha1
+
+
+class TestGenOverflowBound:
+    """The exact path refuses exactly when max |amp| * 2**n >= 2**63."""
+
+    N = 10
+
+    @pytest.mark.parametrize("amp", [1 << 53, -(1 << 53), 1 << 70, -(1 << 63)])
+    def test_refused(self, amp):
+        with pytest.raises(OverflowBoundError):
+            gen(spec_for(self.N, [(5, 0), (9, amp)]))
+
+    def test_largest_accepted(self):
+        amp = (1 << 53) - (1 << self.N)
+        clean, noisy = gen(spec_for(self.N, [(9, amp)]))
+        walsh = clean.data.copy()
+        fwht_array(walsh)
+        expected = np.zeros(1 << self.N, dtype=np.int64)
+        expected[9] = amp
+        assert walsh.tobytes() == expected.tobytes()
+        assert noisy.data.tobytes() == clean.data.tobytes()
+
+    def test_noisy_signal_is_swept(self):
+        sigma = float(1 << 53)
+        with pytest.raises(OverflowBoundError):
+            gen(spec_for(self.N, [], NoiseKind.RADEMACHER, sigma))
+        _, noisy = gen(spec_for(self.N, [], NoiseKind.RADEMACHER, sigma - 1))
+        assert np.all(np.abs(noisy.data) == (1 << 53) - 1)
+
+
+class TestGenMemory:
+    """gen holds its two returned arrays and little else."""
+
+    N = 18
+
+    @pytest.mark.parametrize("kind, sigma", [
+        (NoiseKind.RADEMACHER, 3.0),
+        (NoiseKind.GAUSSIAN, 2.0),
+    ])
+    def test_peak(self, kind, sigma):
+        support = [(3, 5 << self.N), (77, -(9 << self.N))]
+        gen(spec_for(8, [(3, 5 << 8)], kind, sigma))  # first-call caches
+        tracemalloc.start()
+        try:
+            out = gen(spec_for(self.N, support, kind, sigma, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out[0].data.dtype == np.int64
+        assert peak <= 2 * (8 << self.N) + (64 << 10)
 
 
 class TestSnr:
@@ -188,6 +276,22 @@ class TestExtract:
         with pytest.raises(BadArguments):
             extract_above(Signal(np.zeros(4, dtype=np.int64)), 1)
 
+    def test_int64_minimum_is_reported(self, tmp_path):
+        data = np.array([3, -(1 << 63), 0, (1 << 63) - 1], dtype=np.int64)
+        expected = [(1, -(1 << 63)), (3, (1 << 63) - 1), (0, 3)]
+        assert extract_above(Signal(data, Domain.WALSH), 1) == expected
+        path = str(tmp_path / "walsh.bin")
+        dataset.write_signal(path, data, domain="walsh")
+        with dataset.open_validated(path) as ds:
+            assert extract_above_dataset(ds, 1, io_block_elems=2) == expected
+            assert extract_above_dataset(ds, 1 << 63) == [(1, -(1 << 63))]
+            assert extract_above_dataset(ds, 1 << 64) == []
+
+    @pytest.mark.parametrize("tau", [1 << 63, 1 << 64])
+    def test_tau_beyond_int64_finds_nothing(self, tau):
+        data = np.array([(1 << 63) - 1, -(1 << 63) + 1, 0, 5], dtype=np.int64)
+        assert extract_above(Signal(data, Domain.WALSH), tau) == []
+
     def test_streaming_matches_in_memory(self, tmp_path):
         rng = np.random.default_rng(13)
         data = rng.integers(-1000, 1000, 1 << 10).astype(np.int64)
@@ -211,6 +315,15 @@ class TestNoiseVarianceLaw:
     def test_gaussian_matches_model(self):
         est = noise_walsh_variance_check(12, 0.5, NoiseKind.GAUSSIAN, 50, seed=3)
         assert est == pytest.approx(0.25 * (1 << 12), rel=0.10)
+
+    def test_rademacher_trial_matches_its_definition(self):
+        n, sigma, seed = 8, 1.5, 4
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        noise = (rng.integers(0, 2, 1 << n) * 2 - 1) * sigma
+        fwht_array(noise)
+        expected = float(np.mean(noise * noise))
+        assert noise_walsh_variance_check(
+            n, sigma, NoiseKind.RADEMACHER, 1, seed=seed) == expected
 
     def test_zero_sigma_exactly_zero(self):
         assert noise_walsh_variance_check(8, 0.0, NoiseKind.GAUSSIAN, 5) == 0.0

@@ -235,6 +235,28 @@ class TestParallelFold:
             with pytest.raises(IoFailure, match="injected"):
                 fold_dataset(ds, lmap, io_block_elems=1 << 14)
 
+    def test_failure_stops_the_other_worker(self, int_path, monkeypatch):
+        # 16 blocks on 2 workers: after the failing third read the other
+        # worker may finish the read it has issued, and issues no more.
+        workers = 2
+        set_cpus(monkeypatch, workers)
+        path, _ = int_path
+        lmap = random_full_rank(self.N, 12, seed=36)
+        reads = []
+        lock = threading.Lock()
+
+        def hook(op, start, count):
+            with lock:
+                reads.append(start)
+                if len(reads) == 3:
+                    raise IoFailure("injected read failure")
+
+        with dataset.open_validated(path) as ds:
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure, match="injected"):
+                fold_dataset(ds, lmap, io_block_elems=1 << 14)
+        assert 3 <= len(reads) <= 3 + (workers - 1)
+
     def test_reads_every_element_once(self, int_path, monkeypatch):
         set_cpus(monkeypatch, 4)
         path, _ = int_path
