@@ -11,8 +11,6 @@ from .core import (
 )
 from .parallel import StagePlan, plan_parallel, run_parallel
 from .external import (
-    ExternalMode,
-    PassPlan,
     pass_io_volume,
     plan_external,
     run_external_blocked,
@@ -43,8 +41,6 @@ __all__ = [
     "StagePlan",
     "plan_parallel",
     "run_parallel",
-    "ExternalMode",
-    "PassPlan",
     "pass_io_volume",
     "plan_external",
     "run_external_blocked",

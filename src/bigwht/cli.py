@@ -187,7 +187,8 @@ def transform_mem(ctx, in_path):
 @click.option("--mem-log2", "-b", type=int, required=True,
               help="log2 of the in-memory element budget B.")
 @click.option("--mode", type=click.Choice(["entrywise", "blocked"]),
-              default="blocked", show_default=True)
+              default="blocked", show_default=True,
+              help="entrywise moves one element per transfer (S = 1).")
 @click.option("--io-block-bytes", type=int, default=None,
               help="Blocked-mode transfer size in bytes (default: 128 MB "
                    "capped to the memory budget).")
@@ -201,20 +202,17 @@ def transform_ext(ctx, in_path, mem_log2, mode, io_block_bytes, resume):
             "--io-block-bytes applies to blocked mode; entrywise moves one "
             "element per operation"
         )
+    elems = 1 if mode == "entrywise" else None
+    if io_block_bytes is not None:
+        if io_block_bytes % dataset.ELEMENT_BYTES:
+            raise BadArguments("--io-block-bytes must be a multiple of 8")
+        elems = io_block_bytes // dataset.ELEMENT_BYTES
     _adopt_if_forced(ctx, in_path, "time")
     ds = dataset.open_validated(in_path)
     try:
-        if mode == "entrywise":
-            report = external.run_external_entrywise(ds, mem_log2, resume=resume)
-        else:
-            elems = None
-            if io_block_bytes is not None:
-                if io_block_bytes % dataset.ELEMENT_BYTES:
-                    raise BadArguments("--io-block-bytes must be a multiple of 8")
-                elems = io_block_bytes // dataset.ELEMENT_BYTES
-            report = external.run_external_blocked(
-                ds, mem_log2, io_block_elems=elems, resume=resume
-            )
+        report = external.run_external_blocked(
+            ds, mem_log2, io_block_elems=elems, resume=resume
+        )
     finally:
         ds.close()
     payload = {
@@ -222,7 +220,7 @@ def transform_ext(ctx, in_path, mem_log2, mode, io_block_bytes, resume):
         "n": report.plan.log2_dim,
         "mem_log2": mem_log2,
         "mode": mode,
-        "io_block_elems": report.plan.io_block_elems,
+        "io_block_elems": report.plan.run_elems,
         "passes": report.plan.q,
         "passes_executed": len(report.passes_executed),
         "resumed_from": report.resumed_from,

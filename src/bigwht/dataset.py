@@ -6,6 +6,11 @@ payload stays mmap-friendly and readable by any tool) plus a JSON sidecar
 format_version. The sidecar also hosts the pass-progress marker used to
 restart interrupted external transforms.
 
+Every block moves through one buffered path: ``_transfer`` runs preadv
+or pwritev on the payload's file descriptor until the whole block has
+moved. ``iobench`` reuses that loop for its own copies, including its
+O_DIRECT measurement, which opens its scratch files itself.
+
 Writes are synced behind: once SYNC_BEHIND_BYTES have been written since
 the last sync, a background thread writes them back with fdatasync while
 the caller goes on, so ``flush`` waits only for the tail.
@@ -14,7 +19,6 @@ the caller goes on, so ``flush`` waits only for the tail.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import shutil
 import threading
@@ -27,7 +31,6 @@ from .core import Domain
 from .errors import (
     BadArguments,
     BadMetadata,
-    DirectIoUnsupported,
     DiskFull,
     IoFailure,
     OutOfBounds,
@@ -37,26 +40,10 @@ from .errors import (
 
 ELEMENT_BYTES = 8
 FORMAT_VERSION = 1
-ALIGN_ENV = "BIGWHT_IO_ALIGN"
-DEFAULT_ALIGNMENT = 4096
 # Unsynced bytes after which write_block starts a background fdatasync.
 SYNC_BEHIND_BYTES = 8 << 20
 
 _DTYPES = {"int64": np.dtype("<i8"), "float64": np.dtype("<f8")}
-
-
-def io_alignment() -> int:
-    """Direct-I/O buffer/offset alignment; override via BIGWHT_IO_ALIGN."""
-    raw = os.environ.get(ALIGN_ENV)
-    if raw is None:
-        return DEFAULT_ALIGNMENT
-    try:
-        align = int(raw)
-    except ValueError as exc:
-        raise BadMetadata(f"{ALIGN_ENV} must be an integer, got {raw!r}") from exc
-    if align < 512 or not is_power_of_two(align):
-        raise BadMetadata(f"{ALIGN_ENV} must be a power of two >= 512")
-    return align
 
 
 def sidecar_path(path: str) -> str:
@@ -154,7 +141,9 @@ class IoStats:
 
 
 class DatasetFile:
-    """Handle to an on-disk signal.
+    """Handle to an on-disk signal. Every block moves through
+    ``_transfer`` between the caller's array and the page cache, with no
+    copy in between.
 
     ``read_block`` may run on several threads at once (the streaming fold
     reads one handle from a worker per CPU); every other method belongs
@@ -165,10 +154,9 @@ class DatasetFile:
     ``close`` shuts down.
     """
 
-    def __init__(self, path: str, meta: dict, direct: bool = False):
+    def __init__(self, path: str, meta: dict):
         self.path = path
         self._meta = meta
-        self.direct = direct
         self.stats = IoStats()
         self.fault_hook = None
         self._unsynced = 0
@@ -181,23 +169,8 @@ class DatasetFile:
                 f"{path}: payload is {actual} bytes, sidecar implies "
                 f"{self._expected_bytes}"
             )
-        if direct:
-            self._open_direct()
-        else:
-            self._f = open(path, "r+b", buffering=0)
-            self._fd = self._f.fileno()
-
-    def _open_direct(self) -> None:
-        if not hasattr(os, "O_DIRECT"):
-            raise DirectIoUnsupported("os.O_DIRECT is not available here")
-        try:
-            self._fd = os.open(self.path, os.O_RDWR | os.O_DIRECT)
-        except OSError as exc:
-            raise DirectIoUnsupported(f"open(O_DIRECT) failed: {exc}") from exc
-        self._f = None
-        self._align = io_alignment()
-        self._buf = mmap.mmap(-1, max(self._align, 1 << 20))
-        self._buf_lock = threading.Lock()  # concurrent reads share _buf
+        self._f = open(path, "r+b", buffering=0)
+        self._fd = self._f.fileno()
 
     # -- metadata ---------------------------------------------------------
 
@@ -281,7 +254,8 @@ class DatasetFile:
             )
         if self.fault_hook is not None:
             self.fault_hook("read", start, count)
-        self._move(os.preadv, memoryview(out).cast("B"), start * ELEMENT_BYTES, "read")
+        _transfer(self._fd, os.preadv, memoryview(out).cast("B"),
+                  start * ELEMENT_BYTES, "read")
         self.stats.count_read(count)
         return out
 
@@ -297,7 +271,8 @@ class DatasetFile:
         if self.fault_hook is not None:
             self.fault_hook("write", start, data.shape[0])
         raw = np.ascontiguousarray(data, dtype=self.dtype)
-        self._move(os.pwritev, memoryview(raw).cast("B"), start * ELEMENT_BYTES, "write")
+        _transfer(self._fd, os.pwritev, memoryview(raw).cast("B"),
+                  start * ELEMENT_BYTES, "write")
         self.stats.count_write(data.shape[0])
         self._unsynced += raw.nbytes
         if self._unsynced >= SYNC_BEHIND_BYTES:
@@ -332,28 +307,6 @@ class DatasetFile:
         except OSError as exc:
             raise IoFailure(f"background fdatasync failed: {exc}") from exc
 
-    def _move(self, call, view: memoryview, offset: int, what: str) -> None:
-        """Transfer all of ``view`` at byte ``offset`` with ``call``."""
-        if not self.direct:
-            _transfer(self._fd, call, view, offset, what)
-            return
-        if offset % self._align or len(view) % self._align:
-            raise BadArguments(
-                f"direct I/O needs offset and size aligned to {self._align}"
-            )
-        # O_DIRECT needs an aligned buffer and caller arrays are not
-        # page-aligned, so each chunk passes through the mmap'd bounce buffer.
-        with self._buf_lock:
-            bounce = memoryview(self._buf)
-            for pos in range(0, len(view), len(bounce)):
-                chunk = view[pos : pos + len(bounce)]
-                staged = bounce[: len(chunk)]
-                if what == "write":
-                    staged[:] = chunk
-                _transfer(self._fd, call, staged, offset + pos, "direct " + what)
-                if what == "read":
-                    chunk[:] = staged
-
     # -- lifecycle --------------------------------------------------------
 
     def flush(self) -> None:
@@ -373,11 +326,7 @@ class DatasetFile:
             if self._syncer is not None:
                 self._syncer.shutdown()
                 self._syncer = None
-            if self._f is not None:
-                self._f.close()
-            else:
-                os.close(self._fd)
-                self._buf.close()
+            self._f.close()
             self._fd = -1
 
     def __enter__(self) -> "DatasetFile":
@@ -392,7 +341,6 @@ def create(
     log2_dim: int,
     element_kind: str,
     domain: str = "time",
-    direct: bool = False,
 ) -> DatasetFile:
     """Allocate a zero-filled dataset of exactly 8 * 2**n bytes plus sidecar."""
     if log2_dim < 0:
@@ -418,17 +366,17 @@ def create(
         "domain": domain,
     }
     _write_sidecar(path, meta)
-    return DatasetFile(path, meta, direct=direct)
+    return DatasetFile(path, meta)
 
 
-def open_validated(path: str, direct: bool = False) -> DatasetFile:
+def open_validated(path: str) -> DatasetFile:
     """Open an existing dataset, verifying sidecar and payload size agree."""
     meta = _read_sidecar(path)
     try:
         os.path.getsize(path)
     except OSError as exc:
         raise SizeMismatch(f"payload {path} is missing: {exc}") from exc
-    return DatasetFile(path, meta, direct=direct)
+    return DatasetFile(path, meta)
 
 
 def adopt(path: str, element_kind: str, domain: str) -> int:

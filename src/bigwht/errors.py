@@ -84,6 +84,3 @@ class DiskFull(StorageError):
 class IoFailure(StorageError):
     """An I/O operation failed; the message carries the byte offset."""
 
-
-class DirectIoUnsupported(StorageError):
-    """Direct I/O was requested but the platform or filesystem refused it."""

@@ -8,13 +8,15 @@ k = B .. n-1 directly against the file. Every pass reads and writes each
 dataset byte exactly once. With B >= n the plan is the single pass 0 over
 one superblock, the whole dataset: that is the CLI's in-memory transform.
 
-One stage-pass executor serves both modes: it walks the plan's runs of
-S elements, reads each with its partner 2**k further on, butterflies
-them and writes them back. Blocked mode turns the arithmetic into large
-sequential transfers; S is independent of B and bounded by
-S <= 2**(B-1) so two blocks fit the memory budget. Entry-wise mode is
-the same pass with S = 1, which is the paper's skip-rule loop: read pt,
-read pt + 2**k, write both, one element per operation.
+The memory budget B and the transfer size S, both in elements, are the
+engine's whole configuration. One stage-pass executor walks the plan's
+runs of S elements, reads each with its partner 2**k further on,
+butterflies them and writes them back. S is independent of B and bounded
+by S <= 2**(B-1) so two runs fit the memory budget. The paper's two
+modes are values of S: blocked mode turns the arithmetic into large
+sequential transfers, and entry-wise mode is S = 1, the paper's
+skip-rule loop: read pt, read pt + 2**k, write both, one element per
+operation.
 
 Pass 0 runs each superblock on the thread schedule of ``parallel``, with
 2**p workers for the process's usable CPUs (p = floor(log2 CPUs), capped
@@ -44,7 +46,6 @@ instead of corrupting the data.
 
 from __future__ import annotations
 
-import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,69 +58,25 @@ from .errors import BadArguments, BadBlockSize, OverflowBoundError
 from .parallel import StagePlan, plan_parallel, run_plan, usable_cpus
 
 
-class ExternalMode(enum.Enum):
-    ENTRYWISE = "entrywise"
-    BLOCKED = "blocked"
-
-
-@dataclass(frozen=True)
-class PassPlan:
-    """The stage plan the passes run, plus what the pass marker records
-    beyond it."""
-
-    mode: ExternalMode
-    mem_log2: int
-    schedule: StagePlan
-
-    @property
-    def q(self) -> int:
-        return self.schedule.q
-
-    @property
-    def log2_dim(self) -> int:
-        return self.schedule.log2_dim
-
-    @property
-    def io_block_elems(self) -> int:
-        return self.schedule.run_elems
-
-
-def plan_external(
-    n: int, mem_log2: int, mode: ExternalMode, io_block_bytes: int
-) -> PassPlan:
+def plan_external(n: int, mem_log2: int, io_block_elems: int) -> StagePlan:
     """Build the q-pass schedule; q = n - B + 1 (one pass when n <= B)."""
     if mem_log2 < 1:
         raise BadArguments(f"mem_log2 must be >= 1, got {mem_log2}")
     if n < 0:
         raise BadArguments(f"n must be >= 0, got {n}")
-    if (
-        io_block_bytes < ELEMENT_BYTES
-        or io_block_bytes % ELEMENT_BYTES
-        or not is_power_of_two(io_block_bytes)
-    ):
+    if not is_power_of_two(io_block_elems):
         raise BadBlockSize(
-            f"io_block_bytes must be a power-of-two multiple of "
-            f"{ELEMENT_BYTES}, got {io_block_bytes}"
+            f"io_block_elems must be a power of two, got {io_block_elems}"
         )
-    block_elems = io_block_bytes // ELEMENT_BYTES
-    if mode == ExternalMode.ENTRYWISE and block_elems != 1:
+    if io_block_elems > 1 << (mem_log2 - 1):
         raise BadBlockSize(
-            f"entrywise mode moves one element per transfer, got "
-            f"{block_elems} elements"
+            f"the stage pass needs S <= 2**(B-1) = {1 << (mem_log2 - 1)} "
+            f"elements, got {io_block_elems}"
         )
-    if block_elems > 1 << (mem_log2 - 1):
-        raise BadBlockSize(
-            f"blocked mode needs S <= 2**(B-1) = {1 << (mem_log2 - 1)} "
-            f"elements, got {block_elems}"
-        )
-    return PassPlan(
-        mode=mode,
-        mem_log2=mem_log2,
-        schedule=StagePlan(n, min(mem_log2, n), block_elems),
-    )
+    return StagePlan(n, min(mem_log2, n), io_block_elems)
 
 
-def pass_io_volume(plan: PassPlan) -> int:
+def pass_io_volume(plan: StagePlan) -> int:
     """Total traffic in bytes: each pass reads and writes the whole file."""
     return plan.q * 2 * (ELEMENT_BYTES << plan.log2_dim)
 
@@ -131,7 +88,7 @@ def default_io_block_elems(mem_log2: int) -> int:
 
 @dataclass
 class ExternalRunReport:
-    plan: PassPlan
+    plan: StagePlan
     passes_executed: list[int]
     resumed_from: int
 
@@ -140,10 +97,7 @@ def run_external_entrywise(
     ds: DatasetFile, mem_log2: int, resume: bool = False
 ) -> ExternalRunReport:
     """Transform ``ds`` in place using paired single-element reads/writes."""
-    plan = plan_external(
-        ds.log2_dim, mem_log2, ExternalMode.ENTRYWISE, ELEMENT_BYTES
-    )
-    return _execute(ds, plan, resume)
+    return run_external_blocked(ds, mem_log2, io_block_elems=1, resume=resume)
 
 
 def run_external_blocked(
@@ -155,27 +109,47 @@ def run_external_blocked(
     """Transform ``ds`` in place using paired S-element block I/O."""
     if io_block_elems is None:
         io_block_elems = default_io_block_elems(mem_log2)
-    plan = plan_external(
-        ds.log2_dim,
-        mem_log2,
-        ExternalMode.BLOCKED,
-        io_block_elems * ELEMENT_BYTES,
-    )
-    return _execute(ds, plan, resume)
+    plan = plan_external(ds.log2_dim, mem_log2, io_block_elems)
+    start = _start_pass_index(ds, plan, mem_log2, resume)
+    executed = []
+    for index, stage in enumerate((None, *plan.stages)[start:], start):
+        sentinel = _FirstWriteSentinel(
+            ds, _marker_for(plan, mem_log2, index, writing=True)
+        )
+        ds.fault_hook = sentinel
+        try:
+            if stage is None:
+                _initial_pass(ds, plan)
+            else:
+                _blocked_stage_pass(ds, plan, stage)
+            ds.flush()
+        finally:
+            ds.fault_hook = sentinel.inner
+        ds.set_progress_marker(_marker_for(plan, mem_log2, index + 1))
+        executed.append(index)
+    # One sidecar write: a kill between clearing the marker and flipping
+    # the domain would leave a transformed payload marked "time", and the
+    # next run would transform it again.
+    ds.set_progress_marker(None, domain="walsh")
+    return ExternalRunReport(plan=plan, passes_executed=executed, resumed_from=start)
 
 
-def _marker_for(plan: PassPlan, passes_done: int, writing: bool = False) -> dict:
+def _marker_for(
+    plan: StagePlan, mem_log2: int, passes_done: int, writing: bool = False
+) -> dict:
+    # mem_log2 is the requested B, which exceeds plan.block_log2 when n < B.
     return {
-        "mode": plan.mode.value,
-        "mem_log2": plan.mem_log2,
-        "io_block_elems": plan.io_block_elems,
+        "mem_log2": mem_log2,
+        "io_block_elems": plan.run_elems,
         "passes_done": passes_done,
         "total_passes": plan.q,
         "writing": writing,
     }
 
 
-def _start_pass_index(ds: DatasetFile, plan: PassPlan, resume: bool) -> int:
+def _start_pass_index(
+    ds: DatasetFile, plan: StagePlan, mem_log2: int, resume: bool
+) -> int:
     marker = ds.progress_marker
     if marker is None:
         if ds.domain != "time":
@@ -196,8 +170,10 @@ def _start_pass_index(ds: DatasetFile, plan: PassPlan, resume: bool) -> int:
             f"({marker.get('passes_done')}/{marker.get('total_passes')} "
             f"passes done); pass resume=True to continue"
         )
-    expected = _marker_for(plan, marker.get("passes_done", -1))
-    if marker != expected:
+    expected = _marker_for(plan, mem_log2, marker.get("passes_done", -1))
+    # Compare only the keys this code writes: markers from earlier releases
+    # also carry a "mode" label, which S already determines.
+    if {key: marker.get(key) for key in expected} != expected:
         raise BadArguments(
             f"resume parameters differ from the interrupted run: "
             f"marker {marker}, requested {expected}"
@@ -206,19 +182,18 @@ def _start_pass_index(ds: DatasetFile, plan: PassPlan, resume: bool) -> int:
 
 
 class _FirstWriteSentinel:
-    """Flags the sidecar before a pass's first payload write.
+    """Records ``marker`` in the sidecar before a pass's first payload write.
 
     A kill before any write of the current pass is cleanly resumable (the
-    pass just reruns); one after writes began is not, and the flag is how
-    a later resume tells the two apart. Chains to any existing hook so
-    fault-injecting tests still work, and a hook that raises on a read
-    leaves the pass unflagged, as it should.
+    pass just reruns); one after writes began is not, and the marker's
+    ``writing`` flag is how a later resume tells the two apart. Chains to
+    any existing hook so fault-injecting tests still work, and a hook that
+    raises on a read leaves the pass unflagged, as it should.
     """
 
-    def __init__(self, ds: DatasetFile, plan: PassPlan, pass_index: int):
+    def __init__(self, ds: DatasetFile, marker: dict):
         self.ds = ds
-        self.plan = plan
-        self.pass_index = pass_index
+        self.marker = marker
         self.inner = ds.fault_hook
         self.armed = True
 
@@ -227,32 +202,7 @@ class _FirstWriteSentinel:
             self.inner(op, start, count)
         if self.armed and op == "write":
             self.armed = False
-            self.ds.set_progress_marker(
-                _marker_for(self.plan, self.pass_index, writing=True)
-            )
-
-
-def _execute(ds: DatasetFile, plan: PassPlan, resume: bool) -> ExternalRunReport:
-    start = _start_pass_index(ds, plan, resume)
-    executed = []
-    for index, stage in enumerate((None, *plan.schedule.stages)[start:], start):
-        sentinel = _FirstWriteSentinel(ds, plan, index)
-        ds.fault_hook = sentinel
-        try:
-            if stage is None:
-                _initial_pass(ds, plan.schedule)
-            else:
-                _blocked_stage_pass(ds, plan.schedule, stage)
-            ds.flush()
-        finally:
-            ds.fault_hook = sentinel.inner
-        ds.set_progress_marker(_marker_for(plan, index + 1))
-        executed.append(index)
-    # One sidecar write: a kill between clearing the marker and flipping
-    # the domain would leave a transformed payload marked "time", and the
-    # next run would transform it again.
-    ds.set_progress_marker(None, domain="walsh")
-    return ExternalRunReport(plan=plan, passes_executed=executed, resumed_from=start)
+            self.ds.set_progress_marker(self.marker)
 
 
 def _initial_pass(ds: DatasetFile, plan: StagePlan) -> None:

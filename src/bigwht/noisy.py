@@ -62,8 +62,8 @@ class NoisySignalSpec:
         for _, amp in self.support:
             if not isinstance(amp, (int, float)) or not math.isfinite(amp):
                 raise BadSpec(f"amplitude {amp!r} is not a finite number")
-        if self.sigma < 0:
-            raise BadSpec(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise BadSpec(f"sigma must be finite and >= 0, got {self.sigma}")
         if not isinstance(self.noise_kind, NoiseKind):
             raise BadSpec(f"unknown noise kind {self.noise_kind!r}")
 
@@ -172,8 +172,8 @@ def snr(sig: Signal, sigma: float) -> SnrReport:
     signal is 2**n times its time-domain energy (Parseval). sigma = 0 is
     reported as infinite SNR rather than raising.
     """
-    if sigma < 0:
-        raise BadArguments(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise BadArguments(f"sigma must be finite and >= 0, got {sigma}")
     n = sig.log2_dim
     dim = 1 << n
     energy = parseval_energy(sig)
@@ -234,8 +234,7 @@ def extract_above(sig: Signal, tau) -> list[tuple[int, float]]:
     """
     if sig.domain != Domain.WALSH:
         raise BadArguments("extraction expects a Walsh-domain signal")
-    if tau < 0:
-        raise BadArguments(f"tau must be >= 0, got {tau}")
+    _check_tau(tau)
     hits: list[tuple[int, float]] = []
     _extract(sig.data, 0, tau, hits)
     hits.sort(key=lambda item: (-abs(item[1]), item[0]))
@@ -248,14 +247,20 @@ def extract_above_dataset(
     """Streaming extraction over a Walsh-domain dataset, block by block."""
     if ds.domain != "walsh":
         raise BadArguments(f"{ds.path} is not Walsh-domain")
-    if tau < 0:
-        raise BadArguments(f"tau must be >= 0, got {tau}")
+    _check_tau(tau)
     hits: list[tuple[int, float]] = []
     block = min(io_block_elems, ds.dim)
     for start in range(0, ds.dim, block):
         _extract(ds.read_block(start, min(block, ds.dim - start)), start, tau, hits)
     hits.sort(key=lambda item: (-abs(item[1]), item[0]))
     return hits
+
+
+def _check_tau(tau) -> None:
+    # tau != tau tests for NaN without converting: math.isnan raises on
+    # ints too large for a float, such as 2**64.
+    if tau != tau or tau < 0:
+        raise BadArguments(f"tau must be a number >= 0, got {tau}")
 
 
 def _extract(chunk: np.ndarray, base: int, tau, hits: list) -> None:
@@ -281,8 +286,8 @@ def noise_walsh_variance_check(
     noise; converges to 2**n * sigma**2 for every zero-mean kind."""
     if trials < 1:
         raise BadArguments(f"trials must be >= 1, got {trials}")
-    if sigma < 0:
-        raise BadArguments(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise BadArguments(f"sigma must be finite and >= 0, got {sigma}")
     dim = 1 << n
     seeds = np.random.SeedSequence(seed).spawn(trials)
     total = 0.0

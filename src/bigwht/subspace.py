@@ -341,6 +341,8 @@ def coverage_simulate(
     """
     if d_out < 1 or d_in < d_out:
         raise BadDims(f"need 1 <= d_out <= d_in, got {d_out}, {d_in}")
+    if d_in > 63:
+        raise BadDims(f"d_in={d_in} exceeds the 63 bits of an int64 index")
     if machines < 1 or trials < 1:
         raise BadArguments("machines and trials must be >= 1")
     if sample_count is None and d_in > 24:

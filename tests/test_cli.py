@@ -131,6 +131,17 @@ class TestGen:
         assert doc["command"] == "gen"
         assert doc["n"] == 4
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_refused(self, capsys, tmp_path, sigma):
+        out = tmp_path / "a.bin"
+        code, _, err = run_capture(
+            capsys, ["gen", "--n", "4", "--support", "1:16", "--noise",
+                     "gaussian", "--sigma", sigma, "--out", str(out)]
+        )
+        assert code == 3
+        assert "sigma" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTransform:
     def test_mem_matches_ext_byte_identical(self, capsys, tmp_path):
@@ -439,6 +450,25 @@ class TestExtractAndSnr:
         assert doc["snr_linear"] == pytest.approx(1.0)
         assert doc["snr_db"] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_snr_non_finite_sigma_refused(self, capsys, tmp_path, sigma):
+        path = str(tmp_path / "c.bin")
+        dataset.write_signal(path, np.ones(16, dtype=np.int64))
+        code, out, _ = run_capture(capsys, ["--json", "snr", "--in", path,
+                                            "--sigma", sigma])
+        assert code == 3
+        assert out == ""
+
+    def test_extract_nan_threshold_refused(self, capsys, tmp_path):
+        path = str(tmp_path / "w.bin")
+        dataset.write_signal(path, np.array([10, -2, -4, 0], dtype=np.int64),
+                             domain="walsh")
+        code, out, err = run_capture(capsys, ["extract", "--in", path,
+                                              "--threshold", "nan"])
+        assert code == 3
+        assert out == ""
+        assert "tau" in err
+
 
 class TestPlan:
     def test_quoted_total(self, capsys):
@@ -547,6 +577,18 @@ class TestFoldAndCoverage:
         assert doc["mean"] == pytest.approx(
             sum(doc["per_trial"]) / 3, rel=1e-12
         )
+
+    @pytest.mark.parametrize("din, code", [(64, 3), (63, 0)])
+    def test_coverage_index_width(self, capsys, din, code):
+        # Indices are int64: 63 input bits fit, 64 are refused cleanly.
+        got, out, err = run_capture(
+            capsys, ["coverage", "--din", str(din), "--dout", "2",
+                     "--machines", "1", "--trials", "1",
+                     "--sample-count", "10"]
+        )
+        assert got == code
+        assert "Traceback" not in err
+        assert ("63 bits" in err) == (code == 3)
 
 
 class TestEndToEnd:

@@ -17,7 +17,6 @@ from bigwht.core import Domain
 from bigwht.errors import (
     BadArguments,
     BadMetadata,
-    DirectIoUnsupported,
     IoFailure,
     OutOfBounds,
     PathExists,
@@ -456,81 +455,3 @@ class TestHelpers:
                 ds.read_block(4, 4)
             assert calls == [("read", 0, 4), ("read", 4, 4)]
 
-
-def _direct_round_trip(tmp_path, n):
-    path = str(tmp_path / "direct.bin")
-    rng = np.random.default_rng(4)
-    data = rng.integers(-99, 99, 1 << n).astype(np.int64)
-    dataset.write_signal(path, data)
-    try:
-        ds = dataset.open_validated(path, direct=True)
-    except DirectIoUnsupported:
-        pytest.skip("direct I/O unsupported on this filesystem")
-    with ds:
-        got = ds.read_block(0, 1 << n)
-        assert np.array_equal(got, data)
-        ds.write_block(0, data * 2)
-    arr, _, _ = dataset.read_signal(path)
-    assert np.array_equal(arr, data * 2)
-
-
-class TestDirectIo:
-    def test_aligned_round_trip(self, tmp_path):
-        _direct_round_trip(tmp_path, 10)
-
-    def test_round_trip_crosses_bounce_buffer(self, tmp_path):
-        # 2**18 elements are 2 MiB, two fills of the 1 MiB bounce buffer.
-        _direct_round_trip(tmp_path, 18)
-
-    def test_concurrent_reads_share_the_bounce_buffer(self, tmp_path):
-        # Four threads read one direct handle; each read must come back
-        # with its own bytes, not another thread's staged chunk.
-        path = str(tmp_path / "direct3.bin")
-        data = np.random.default_rng(6).integers(-99, 99, 1 << 16)
-        dataset.write_signal(path, data)
-        try:
-            ds = dataset.open_validated(path, direct=True)
-        except DirectIoUnsupported:
-            pytest.skip("direct I/O unsupported on this filesystem")
-        wrong = []
-
-        def reader(worker):
-            buf = np.empty(1 << 10, dtype=np.int64)
-            for rep in range(8):
-                for start in range(worker << 10, 1 << 16, 4 << 10):
-                    ds.read_block(start, 1 << 10, out=buf)
-                    if not np.array_equal(buf, data[start : start + (1 << 10)]):
-                        wrong.append(start)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ds:
-                threads = [threading.Thread(target=reader, args=(w,))
-                           for w in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert wrong == []
-
-    def test_misaligned_rejected(self, tmp_path):
-        path = str(tmp_path / "direct2.bin")
-        dataset.write_signal(path, np.zeros(1 << 10, dtype=np.int64))
-        try:
-            ds = dataset.open_validated(path, direct=True)
-        except Exception:
-            pytest.skip("direct I/O unsupported on this filesystem")
-        with ds:
-            with pytest.raises(BadArguments):
-                ds.read_block(1, 4)
-
-    def test_alignment_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(dataset.ALIGN_ENV, "8192")
-        assert dataset.io_alignment() == 8192
-        monkeypatch.setenv(dataset.ALIGN_ENV, "100")
-        with pytest.raises(BadMetadata):
-            dataset.io_alignment()

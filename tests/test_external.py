@@ -16,7 +16,6 @@ from bigwht import dataset, external
 from bigwht.core import fwht_array
 from bigwht.errors import BadArguments, BadBlockSize, IoFailure, OverflowBoundError
 from bigwht.external import (
-    ExternalMode,
     pass_io_volume,
     plan_external,
     run_external_blocked,
@@ -39,52 +38,44 @@ def make_dataset(tmp_path, n, data=None, seed=0, name="sig.bin"):
 class TestPlan:
     def test_quoted_pass_counts(self):
         # The reference workloads: 32 GB dataset with 8 GB and 4 GB budgets.
-        assert plan_external(32, 30, ExternalMode.BLOCKED, 4096).q == 3
-        assert plan_external(32, 29, ExternalMode.BLOCKED, 4096).q == 4
+        assert plan_external(32, 30, 512).q == 3
+        assert plan_external(32, 29, 512).q == 4
 
     def test_fits_in_memory(self):
-        plan = plan_external(10, 12, ExternalMode.BLOCKED, 4096)
+        plan = plan_external(10, 12, 512)
         assert plan.q == 1
-        assert list(plan.schedule.stages) == []
-        assert list(plan.schedule.chunks()) == [0]
+        assert list(plan.stages) == []
+        assert list(plan.chunks()) == [0]
 
     def test_stage_sequence(self):
-        plan = plan_external(12, 8, ExternalMode.ENTRYWISE, 8)
+        plan = plan_external(12, 8, 1)
         assert plan.q == 5
-        assert [None, *plan.schedule.stages] == [None, 8, 9, 10, 11]
+        assert [None, *plan.stages] == [None, 8, 9, 10, 11]
 
     def test_small_plans_disjoint_and_complete(self):
         # The passes run the thread schedule's plan type, so its checker
-        # proves them too: every n <= 10, B and S = 2**s <= 2**(B-1).
+        # proves them too: every n <= 10, B and S = 2**s <= 2**(B-1),
+        # entry-wise (S = 1) included.
         for n in range(1, 11):
             for b in range(1, n + 1):
                 for s in range(b):
-                    plan = plan_external(n, b, ExternalMode.BLOCKED, 8 << s)
-                    check_disjoint(plan.schedule)
-                    assert total_butterflies(plan.schedule) == n << (n - 1)
-                entrywise = plan_external(n, b, ExternalMode.ENTRYWISE, 8)
-                check_disjoint(entrywise.schedule)
+                    plan = plan_external(n, b, 1 << s)
+                    check_disjoint(plan)
+                    assert total_butterflies(plan) == n << (n - 1)
 
     def test_block_size_validation(self):
-        with pytest.raises(BadBlockSize):
-            plan_external(12, 8, ExternalMode.BLOCKED, 12)  # not 8 * 2**k
-        with pytest.raises(BadBlockSize):
-            plan_external(12, 8, ExternalMode.BLOCKED, 3 << 3)
+        for bad in (0, -1, 3, 12):  # not a power of two
+            with pytest.raises(BadBlockSize):
+                plan_external(12, 8, bad)
         # S = 2**B is one doubling too far; S = 2**(B-1) is the limit.
         with pytest.raises(BadBlockSize):
-            plan_external(12, 8, ExternalMode.BLOCKED, 8 << 8)
-        plan_external(12, 8, ExternalMode.BLOCKED, 8 << 7)
-        # Entry-wise is the stage pass with S = 1 and nothing else.
-        with pytest.raises(BadBlockSize):
-            plan_external(12, 8, ExternalMode.ENTRYWISE, 16)
+            plan_external(12, 8, 1 << 8)
+        plan_external(12, 8, 1 << 7)
 
     def test_io_volume(self):
-        assert pass_io_volume(plan_external(32, 30, ExternalMode.BLOCKED, 4096)) \
-            == 3 * 2 * (8 << 32)
-        assert pass_io_volume(plan_external(12, 12, ExternalMode.BLOCKED, 4096)) \
-            == 2 * (8 << 12)
-        assert pass_io_volume(plan_external(12, 8, ExternalMode.ENTRYWISE, 8)) \
-            == 5 * 2 * (8 << 12)
+        assert pass_io_volume(plan_external(32, 30, 512)) == 3 * 2 * (8 << 32)
+        assert pass_io_volume(plan_external(12, 12, 512)) == 2 * (8 << 12)
+        assert pass_io_volume(plan_external(12, 8, 1)) == 5 * 2 * (8 << 12)
 
 
 class TestEntrywise:
@@ -423,6 +414,91 @@ class TestRestart:
         assert np.array_equal(got, reference)
 
 
+def fail_after_reads(ds, allowed, transform):
+    """Run ``transform(ds)`` with every read after the first ``allowed``
+    failing; the reads of pass 0 and of one stage pass are 2**(n-B) and
+    2**n / S."""
+    state = {"reads": 0}
+
+    def hook(op, start, count):
+        if op == "read":
+            state["reads"] += 1
+            if state["reads"] > allowed:
+                raise IoFailure("injected kill")
+
+    ds.fault_hook = hook
+    try:
+        with pytest.raises(IoFailure):
+            transform(ds)
+    finally:
+        ds.fault_hook = None
+
+
+class TestMarkerCompatibility:
+    """Markers that also carry a ``mode`` label, as earlier releases wrote
+    them, still resume: S alone decides entry-wise against blocked."""
+
+    @pytest.mark.parametrize("mode, s", [("entrywise", 1), ("blocked", 1),
+                                         ("blocked", 1 << 4)])
+    def test_labelled_marker_resumes(self, tmp_path, mode, s):
+        n, b, done = 12, 8, 2
+        path, data = make_dataset(tmp_path, n, seed=61)
+        reference = data.copy()
+        fwht_array(reference)
+        with dataset.open_validated(path) as ds:
+            fail_after_reads(ds, (1 << (n - b)) + (done - 1) * ((1 << n) // s),
+                             lambda d: run_external_blocked(d, b, io_block_elems=s))
+            marker = {"mem_log2": b, "io_block_elems": s, "passes_done": done,
+                      "total_passes": n - b + 1, "writing": False}
+            assert ds.progress_marker == marker
+            ds.set_progress_marker({"mode": mode, **marker})
+        with dataset.open_validated(path) as ds:
+            report = run_external_blocked(ds, b, io_block_elems=s, resume=True)
+        assert report.resumed_from == done
+        got, _, domain = dataset.read_signal(path)
+        assert got.tobytes() == reference.tobytes()
+        assert domain == "walsh"
+        with dataset.open_validated(path) as ds:
+            assert ds.progress_marker is None
+
+    @pytest.mark.parametrize("mode, s", [("entrywise", 1), ("blocked", 1 << 4)])
+    def test_finished_marker_with_n_below_budget(self, tmp_path, mode, s):
+        # n < B: the marker keeps the requested B. Every pass is done, and
+        # only the clearing sidecar write is left; resume makes it.
+        n, b = 6, 8
+        data = random_data(n, np.int64, seed=67)
+        transformed = data.copy()
+        fwht_array(transformed)
+        path, _ = make_dataset(tmp_path, n, data=transformed)
+        with dataset.open_validated(path) as ds:
+            ds.set_progress_marker({"mode": mode, "mem_log2": b,
+                                    "io_block_elems": s, "passes_done": 1,
+                                    "total_passes": 1, "writing": False})
+        with dataset.open_validated(path) as ds:
+            report = run_external_blocked(ds, b, io_block_elems=s, resume=True)
+        assert report.passes_executed == []
+        assert report.resumed_from == 1
+        got, _, domain = dataset.read_signal(path)
+        assert got.tobytes() == transformed.tobytes()
+        assert domain == "walsh"
+        with dataset.open_validated(path) as ds:
+            assert ds.progress_marker is None
+
+    def test_entrywise_run_resumes_as_blocked_s1(self, tmp_path):
+        n, b = 10, 8
+        path, data = make_dataset(tmp_path, n, seed=71)
+        reference = data.copy()
+        fwht_array(reference)
+        with dataset.open_validated(path) as ds:
+            fail_after_reads(ds, (1 << (n - b)) + (1 << n),  # through pass 1
+                             lambda d: run_external_entrywise(d, b))
+        with dataset.open_validated(path) as ds:
+            assert ds.progress_marker["passes_done"] == 2
+            report = run_external_blocked(ds, b, io_block_elems=1, resume=True)
+        assert report.resumed_from == 2
+        assert dataset.read_signal(path)[0].tobytes() == reference.tobytes()
+
+
 def random_data(n, dtype, seed):
     rng = np.random.default_rng(seed)
     if dtype == np.int64:
@@ -513,15 +589,14 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("s", [1 << 4, 1 << 17])
     def test_pass_zero(self, ds, s):
-        plan = plan_external(self.N, self.B, ExternalMode.BLOCKED, 8 * s)
-        peak = self.peak_bytes(external._initial_pass, ds, plan.schedule)
+        plan = plan_external(self.N, self.B, s)
+        peak = self.peak_bytes(external._initial_pass, ds, plan)
         assert peak <= 8 * (1 << self.B) + 2 * (512 << 10) + self.SLACK
 
     @pytest.mark.parametrize("s", [1 << 4, 1 << 17])
     def test_stage_pass(self, ds, s):
-        plan = plan_external(self.N, self.B, ExternalMode.BLOCKED, 8 * s)
-        peak = self.peak_bytes(external._blocked_stage_pass, ds,
-                               plan.schedule, self.B)
+        plan = plan_external(self.N, self.B, s)
+        peak = self.peak_bytes(external._blocked_stage_pass, ds, plan, self.B)
         assert peak <= 2 * 8 * s + (256 << 10) + self.SLACK
 
 

@@ -217,6 +217,16 @@ class TestSnr:
         with pytest.raises(BadArguments):
             snr(clean, sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        clean, _ = gen(spec_for(4, [(3, 16)]))
+        with pytest.raises(BadArguments, match="finite"):
+            snr(clean, sigma=sigma)
+        with pytest.raises(BadSpec, match="finite"):
+            gen(spec_for(4, [(3, 16)], NoiseKind.GAUSSIAN, sigma))
+        with pytest.raises(BadArguments, match="finite"):
+            noise_walsh_variance_check(4, sigma, NoiseKind.GAUSSIAN, 1)
+
 
 class TestSignificanceThreshold:
     def test_n32_natural_log(self):
@@ -291,6 +301,16 @@ class TestExtract:
     def test_tau_beyond_int64_finds_nothing(self, tau):
         data = np.array([(1 << 63) - 1, -(1 << 63) + 1, 0, 5], dtype=np.int64)
         assert extract_above(Signal(data, Domain.WALSH), tau) == []
+
+    def test_nan_tau_rejected(self, tmp_path):
+        data = np.array([10, -2, -4, 0], dtype=np.int64)
+        with pytest.raises(BadArguments, match="tau"):
+            extract_above(Signal(data, Domain.WALSH), math.nan)
+        path = str(tmp_path / "walsh.bin")
+        dataset.write_signal(path, data, domain="walsh")
+        with dataset.open_validated(path) as ds:
+            with pytest.raises(BadArguments, match="tau"):
+                extract_above_dataset(ds, math.nan)
 
     def test_streaming_matches_in_memory(self, tmp_path):
         rng = np.random.default_rng(13)
