@@ -3,11 +3,13 @@
 The package supports two scalar kinds: int64 signals are transformed with
 exact integer arithmetic (the primary test vehicle -- equality-based
 checks need no tolerances), float64 signals serve the noise tooling.
-The forward kernel works in place with one tile of scratch, and the
-int64 inverse divides by 2**n with a bit test and an arithmetic shift,
-so neither allocates a full-size array. ``wht_bruteforce`` evaluates
-the defining double sum directly and is the independent oracle every
-fast path is checked against.
+The forward kernel works in place with one tile of scratch on every
+path: an int64 tile whose max |x| times its length stays below 2**53
+runs as exact float64 Hadamard products, float64 data and larger int64
+tiles as radix-2 butterflies. The int64 inverse divides by 2**n with a
+bit test and an arithmetic shift, so neither allocates a full-size
+array. ``wht_bruteforce`` evaluates the defining double sum directly
+and is the independent oracle every fast path is checked against.
 """
 
 from __future__ import annotations
@@ -35,6 +37,28 @@ _INT64_LIMIT = 1 << 63
 # tile at a time (512 KiB of int64), sized to stay in a per-core L2 cache.
 TILE_LOG2 = 16
 TILE_ELEMS = 1 << TILE_LOG2
+
+# float64 holds every integer of magnitude below 2**53 exactly.
+_FLOAT_EXACT_LOG2 = 53
+
+# Largest radix of an int64 tile's product step, H_{2**r} with r <= 4. A
+# step costs 2**r multiply-adds per element: radix 16 covers a 2**16 tile
+# in four steps at 64 per element, where radix 256 would take two at 512.
+_PRODUCT_RADIX_LOG2 = 4
+
+# Sylvester-Hadamard matrices H_{2**r}, entry (k, j) = (-1)**popcount(k & j),
+# built once so that no product step allocates one.
+_HADAMARD = [
+    sign_array(np.bitwise_and.outer(np.arange(1 << r), np.arange(1 << r)))
+    .astype(np.float64)
+    for r in range(_PRODUCT_RADIX_LOG2 + 1)
+]
+
+# Columns per matrix product. 16 x 16 x 1024 = 2**18 multiply-adds is the
+# largest product numpy's bundled OpenBLAS runs on the calling thread; a
+# larger one starts OpenBLAS's own thread pool, which then contends with
+# the kernel's threads.
+_PRODUCT_COLS = 1024
 
 
 class Domain(str, enum.Enum):
@@ -160,6 +184,40 @@ def _quad(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
     np.subtract(s1, s3, out=d)
 
 
+def _radix_split(t: int) -> list[int]:
+    """Split t tile bits into an even number (at least two) of product
+    steps of at most _PRODUCT_RADIX_LOG2 bits each, as evenly as possible:
+    16 = 4+4+4+4, 13 = 4+3+3+3, 3 = 2+1, 1 = 1+0."""
+    steps = 2 * max(1, -(-t // (2 * _PRODUCT_RADIX_LOG2)))
+    base, extra = divmod(t, steps)
+    return [base + 1] * extra + [base] * (steps - extra)
+
+
+def _tile_products(tile: np.ndarray, scratch: np.ndarray,
+                   radices: list[int]) -> None:
+    """Transform an int64 tile exactly as float64 Hadamard products.
+
+    The caller has checked max |x| * tile.size < 2**53, so every partial
+    sum is an integer float64 holds exactly, whatever order BLAS sums in.
+    Each constant-geometry step transforms the low r index bits with one
+    H_{2**r} product and rotates them to the top; the radices sum to
+    log2(tile.size), so the tile ends in natural order. The steps
+    ping-pong between the float64 ``scratch`` and the tile's own memory
+    viewed as float64; their count is even, so the result ends in the
+    scratch and one cast brings it back.
+    """
+    src, dst = scratch, tile.view(np.float64)
+    np.copyto(src, tile)
+    for r in radices:
+        rows = 1 << r
+        width = min(tile.size >> r, _PRODUCT_COLS)
+        np.matmul(_HADAMARD[r],
+                  src.reshape(-1, width, rows).transpose(0, 2, 1),
+                  out=dst.reshape(rows, -1, width).transpose(1, 0, 2))
+        src, dst = dst, src
+    np.copyto(tile, src, casting="unsafe")
+
+
 def butterfly(lo: np.ndarray, hi: np.ndarray) -> None:
     """Replace (lo, hi) by (lo + hi, lo - hi) elementwise, in place.
 
@@ -180,19 +238,28 @@ def fwht_array(buf: np.ndarray) -> int:
     always n * 2**(n-1).
 
     Stages below TILE_LOG2 run tile by tile, on tiles of 2**t elements
-    (t = min(n, TILE_LOG2)), in constant geometry (Pease): each stage
-    butterflies neighbours 2i, 2i + 1 of the source into slots i and
-    i + 2**(t-1) of the destination, two 1-D numpy calls, and source
+    (t = min(n, TILE_LOG2)), in constant geometry (Pease). An int64 tile
+    whose max |x| is below 2**(53 - t) runs as float64 Hadamard products
+    (``_tile_products``): every partial sum of its t stages is then an
+    integer below 2**53, which float64 holds exactly, so the result is
+    the exact int64 one, bit for bit. Each product is at most
+    16 x 16 x 1024 multiply-adds, small enough that OpenBLAS runs it on
+    the calling thread. float64 buffers, whose contract is bit-identity
+    with the stage-by-stage loop that BLAS's summation order would
+    break, and int64 tiles at or above the bound run radix-2 stages:
+    each butterflies neighbours 2i, 2i + 1 of the source into slots i
+    and i + 2**(t-1) of the destination, two 1-D numpy calls, and source
     and destination swap between the tile and one tile of scratch. A
     stage rotates the index bits right by one, so stage s pairs the
     elements that differ in bit s, and after t stages the tile is back
     in natural order (in the scratch when t is odd, copied back once).
     Stages t .. n-1 run two at a time as radix-4 sweeps over four
     quarter-tile slices 2**k apart, with a single radix-2 sweep over
-    half-tile slices when n - t is odd. Each butterfly sees the same
-    operands as in the plain stage-by-stage loop, so int64 and float64
-    output is bit-identical to it. Scratch is one tile, allocated per
-    call so concurrent callers on disjoint buffers are safe.
+    half-tile slices when n - t is odd; each butterfly there sees the
+    same operands as in the plain stage-by-stage loop. So int64 and
+    float64 output is bit-identical to that loop. Scratch is one tile on
+    every path, allocated per call so concurrent callers on disjoint
+    buffers are safe.
     """
     if not buf.flags.c_contiguous:
         raise BadArguments("in-place transform needs a contiguous buffer")
@@ -202,8 +269,15 @@ def fwht_array(buf: np.ndarray) -> int:
     size = 1 << t
     half = size >> 1
     scratch = np.empty(size, dtype=buf.dtype)
+    products = buf.dtype == np.int64
+    radices = _radix_split(t)
+    exact_below = 1 << (_FLOAT_EXACT_LOG2 - t)
     for start in range(0, dim, size):
-        src, dst = buf[start : start + size], scratch
+        tile = buf[start : start + size]
+        if products and max(int(tile.max()), -int(tile.min())) < exact_below:
+            _tile_products(tile, scratch.view(np.float64), radices)
+            continue
+        src, dst = tile, scratch
         for _ in range(t):
             np.add(src[0::2], src[1::2], out=dst[:half])
             np.subtract(src[0::2], src[1::2], out=dst[half:])

@@ -183,6 +183,11 @@ def snr(sig: Signal, sigma: float) -> SnrReport:
     thr_e = _threshold_db(n, 8.0 * math.log(2.0))
     thr_2 = _threshold_db(n, 8.0)
     noise_var = dim * sigma * sigma
+    if not math.isfinite(noise_var):
+        raise BadArguments(
+            f"sigma = {sigma} with n = {n} makes the Walsh noise variance "
+            f"2**n * sigma**2 overflow"
+        )
     if sigma == 0:
         return SnrReport(
             snr_linear=math.inf,

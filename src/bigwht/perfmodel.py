@@ -13,6 +13,7 @@ for the local machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .bits import is_power_of_two
@@ -45,8 +46,10 @@ class PerfParams:
     def __post_init__(self) -> None:
         for name in ("t_cpu_ref_seconds", "t_cp_seconds", "io_overhead",
                      "speed_factor"):
-            if getattr(self, name) <= 0:
-                raise BadArguments(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise BadArguments(
+                    f"{name} must be finite and strictly positive"
+                )
         if self.n_ref < 0 or self.unit_log2_dim < 0:
             raise BadArguments("reference dimensions must be >= 0")
 

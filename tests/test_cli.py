@@ -450,7 +450,7 @@ class TestExtractAndSnr:
         assert doc["snr_linear"] == pytest.approx(1.0)
         assert doc["snr_db"] == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e200"])
     def test_snr_non_finite_sigma_refused(self, capsys, tmp_path, sigma):
         path = str(tmp_path / "c.bin")
         dataset.write_signal(path, np.ones(16, dtype=np.int64))
@@ -499,6 +499,15 @@ class TestPlan:
     def test_missing_args(self, capsys):
         code, _, _ = run_capture(capsys, ["plan"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--tcp", "--io-overhead"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_model_input_refused(self, capsys, flag, value):
+        code, out, _ = run_capture(
+            capsys, ["--json", "plan", "--n", "32", "--b", "30", flag, value]
+        )
+        assert code == 3
+        assert out == ""
 
 
 class TestIobenchCli:

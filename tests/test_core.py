@@ -11,6 +11,7 @@ import pytest
 
 from bigwht.core import (
     TILE_ELEMS,
+    TILE_LOG2,
     Domain,
     Signal,
     butterfly,
@@ -175,13 +176,29 @@ def tile_boundary_input(n, dtype, seed):
     return rng.normal(size=1 << n)
 
 
+def record_products(monkeypatch):
+    """Record the (m, k, n) of every matrix product run from now on."""
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return shapes
+
+
 class TestTiledKernel:
     """Dimensions below, at and above the tile size TILE_LOG2 = 16."""
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    # Odd t (n = 3, 5) ends the tile stages in the scratch; n = 19 is one
-    # radix-4 sweep plus a radix-2 one, n = 20 two radix-4 sweeps.
-    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 18, 2, 3, 5, 19, 20])
+    # Every tile size t = 0 .. 16, so every radix split of the int64
+    # product path (16 = 4+4+4+4, 13 = 4+3+3+3, 3 = 2+1, 1 = 1+0) and both
+    # parities of the float64 radix-2 loop, whose odd t ends in the
+    # scratch; n = 19 is one radix-4 sweep plus a radix-2 one, n = 20 two
+    # radix-4 sweeps.
+    @pytest.mark.parametrize("n", range(21))
     def test_matches_stagewise_loop(self, n, dtype):
         x = tile_boundary_input(n, dtype, 1)
         expected = stagewise_fwht(x.copy())
@@ -190,7 +207,8 @@ class TestTiledKernel:
         assert np.array_equal(got, expected)  # bit-identical, not approx
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 18, 19, 20])
+    # n = 14 gives each half an uneven radix split, 13 = 4+3+3+3.
+    @pytest.mark.parametrize("n", [1, 13, 14, 15, 16, 17, 18, 19, 20])
     def test_concurrent_halves(self, n, dtype):
         x = tile_boundary_input(n, dtype, 2)
         expected = x.copy()
@@ -211,14 +229,61 @@ class TestTiledKernel:
         assert np.array_equal(got, expected)
 
     def test_scratch_is_one_tile(self):
-        x = tile_boundary_input(18, np.int64, 3)
-        tracemalloc.start()
-        try:
+        # n = 13 is one tile with an uneven radix split, 4+3+3+3.
+        for n in (13, 18):
+            x = tile_boundary_input(n, np.int64, 3)
+            tracemalloc.start()
+            try:
+                fwht_array(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= min(x.size, TILE_ELEMS) * x.itemsize * 5 // 4
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("t", [1, 13, 16])
+    def test_float_exactness_bound(self, monkeypatch, t, sign):
+        # max |x| = 2**(53 - t) - 1 takes the product path, whose largest
+        # sums come within 2**t of 2**53; one more takes the radix-2 loop.
+        bound = 1 << (53 - t)
+        rng = np.random.default_rng([t, sign + 1])
+        for peak, uses_products in ((bound - 1, True), (bound, False)):
+            x = sign * (bound - 1 - rng.integers(0, 1 << 10, 1 << t))
+            x[-1] = sign * peak
+            expected = stagewise_fwht(x.copy())
+            products = record_products(monkeypatch)
             fwht_array(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= TILE_ELEMS * x.itemsize * 5 // 4
+            assert np.array_equal(x, expected)
+            assert bool(products) == uses_products
+
+    # A large tile stays below the int64 bound at 2**40 and wraps at 2**62
+    # (fwht_array itself checks no bound), where the kernel must wrap as
+    # the stage-by-stage loop does.
+    @pytest.mark.parametrize("large", [1 << 40, 1 << 62])
+    def test_mixed_tile_magnitudes(self, monkeypatch, large):
+        rng = np.random.default_rng(4)
+        x = tile_boundary_input(TILE_LOG2 + 2, np.int64, 4)
+        for start in (TILE_ELEMS, 3 * TILE_ELEMS):
+            tile = x[start : start + TILE_ELEMS]
+            tile[:] = rng.integers(large - (1 << 20), large, TILE_ELEMS)
+            tile[::3] *= -1
+        expected = stagewise_fwht(x.copy())
+        products = record_products(monkeypatch)
+        fwht_array(x)
+        assert np.array_equal(x, expected)
+        assert len(products) == 2 * 4  # two small tiles, four steps each
+
+    def test_products_stay_on_calling_thread(self, monkeypatch):
+        # OpenBLAS runs a product of at most 2**18 multiply-adds on the
+        # calling thread; a larger one starts its own thread pool, which
+        # contends with the kernel's threads.
+        products = record_products(monkeypatch)
+        x = tile_boundary_input(20, np.int64, 5)
+        expected = stagewise_fwht(x.copy())
+        fwht_array(x)
+        assert np.array_equal(x, expected)
+        assert len(products) == 16 * 4
+        assert all(m * k * n <= 1 << 18 for m, k, n in products)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("length", [1, 5, TILE_ELEMS // 2, TILE_ELEMS + 3])

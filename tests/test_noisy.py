@@ -217,6 +217,12 @@ class TestSnr:
         with pytest.raises(BadArguments):
             snr(clean, sigma=-1.0)
 
+    def test_overflowing_noise_variance_rejected(self):
+        # 2**4 * (1e200)**2 is not a finite float64.
+        clean, _ = gen(spec_for(4, [(3, 16)]))
+        with pytest.raises(BadArguments, match="overflow"):
+            snr(clean, sigma=1e200)
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         clean, _ = gen(spec_for(4, [(3, 16)]))
