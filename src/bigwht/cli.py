@@ -135,7 +135,6 @@ def gen(ctx, log2_dim, support, noise_kind, sigma, seed, out_path, clean_path):
         sigma=sigma,
         seed=ctx.obj["seed"] if seed is None else seed,
     )
-    spec.validate()
     clean, noisy_sig = noisy.gen(spec)
     dataset.write_signal(out_path, noisy_sig.data, domain="time")
     if clean_path:

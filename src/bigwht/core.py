@@ -367,9 +367,12 @@ def parseval_energy(sig: Signal):
     """Sum of squared components.
 
     int64 signals accumulate in arbitrary-precision Python ints, so the
-    result is exact even when it exceeds 2**63. Returns int for exact
+    result is exact even when it exceeds 2**63. They are converted one
+    tile at a time: a Python int costs about 40 bytes, so converting the
+    whole array would hold five times its size. Returns int for exact
     signals, float otherwise.
     """
     if sig.is_exact:
-        return sum(v * v for v in sig.data.tolist())
+        return sum(v * v for start in range(0, sig.data.size, TILE_ELEMS)
+                   for v in sig.data[start : start + TILE_ELEMS].tolist())
     return float(np.dot(sig.data, sig.data))

@@ -42,6 +42,11 @@ ELEMENT_BYTES = 8
 FORMAT_VERSION = 1
 # Unsynced bytes after which write_block starts a background fdatasync.
 SYNC_BEHIND_BYTES = 8 << 20
+# Elements per block of a streaming scan: subspace.fold_dataset and
+# noisy.extract_above_dataset read it at call time. A power of two;
+# subspace.fold slices by it too, so fold and fold_dataset agree bit for
+# bit on float64.
+STREAM_BLOCK_ELEMS = 1 << 16
 
 _DTYPES = {"int64": np.dtype("<i8"), "float64": np.dtype("<f8")}
 

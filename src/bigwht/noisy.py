@@ -2,11 +2,12 @@
 
 Signals are planted in the Walsh domain (coefficients at known indices)
 and brought to the time domain by one forward transform of the
-amplitudes scaled by 2**-n (exact int64) or by the float inverse, so the
-ground truth for extraction tests is exact by construction. Additive
-time-domain noise of variance sigma**2 turns into approximately i.i.d.
-Walsh coefficients of variance 2**n * sigma**2 -- no Gaussian assumption
-needed, which is why Uniform and Rademacher kinds are first-class here.
+amplitudes scaled by 2**-n, so the ground truth for extraction tests is
+exact by construction. Additive time-domain noise of variance sigma**2
+turns into approximately i.i.d. Walsh coefficients of variance
+2**n * sigma**2 -- no Gaussian assumption needed, which is why Uniform
+and Rademacher kinds are first-class here. ``gen`` and
+``noise_walsh_variance_check`` draw their noise from one recipe.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataset
 from .core import Domain, Signal, check_magnitude, check_magnitude_bound, \
-    fwht_array, inverse_wht_inplace, parseval_energy
-from .dataset import DatasetFile
+    fwht_array, parseval_energy
 from .errors import BadArguments, BadSpec
 
 
@@ -92,18 +93,19 @@ def _exact_support(spec: NoisySignalSpec) -> bool:
 def gen(spec: NoisySignalSpec) -> tuple[Signal, Signal]:
     """Build (clean, noisy) time-domain signals from the spec.
 
-    The clean signal's Walsh coefficients equal the planted amplitudes
-    exactly. Amplitudes that are integer multiples of 2**n take the exact
-    int64 path: each is shifted right by n (exact for a multiple of
-    2**n) and one forward transform makes the signal, so no inverse and
-    no division runs; the overflow bound is checked on the amplitudes.
-    Other amplitudes take float64 through ``inverse_wht_inplace``. The
-    noisy signal is float64 unless the clean signal and a Rademacher
-    sigma are both integers. Noise is built in place in the array
-    returned as the noisy signal, so gen holds its two returned arrays
-    (and one tile of kernel scratch while transforming); only Rademacher
-    noise with a fractional sigma briefly holds a third, its int64 signs.
-    Deterministic under the spec's seed.
+    The clean signal's Walsh coefficients equal the planted amplitudes.
+    Each amplitude is scaled by 2**-n and one forward transform makes the
+    signal, so no inverse and no division runs. Amplitudes that are
+    integer multiples of 2**n stay exact int64: the scaling is a right
+    shift by n, and the overflow bound is checked on the amplitudes.
+    Other amplitudes are scaled in float64, where a power of two scales
+    exactly, and scaling before the sums keeps every intermediate within
+    the amplitudes' range. The noisy signal is float64 unless the clean
+    signal and a Rademacher sigma are both integers. Noise is built in
+    place in the array returned as the noisy signal, so gen holds its two
+    returned arrays (and one tile of kernel scratch while transforming);
+    only Rademacher noise with a fractional sigma briefly holds a third,
+    its int64 signs. Deterministic under the spec's seed.
     """
     spec.validate()
     n = spec.log2_dim
@@ -114,55 +116,60 @@ def gen(spec: NoisySignalSpec) -> tuple[Signal, Signal]:
         data = np.zeros(dim, dtype=np.int64)
         for (idx, _), amp in zip(spec.support, amps):
             data[idx] = amp >> n
-        fwht_array(data)
-        clean = Signal(data, Domain.TIME)
     else:
-        walsh = np.zeros(dim, dtype=np.float64)
+        data = np.zeros(dim, dtype=np.float64)
         for idx, amp in spec.support:
-            walsh[idx] = float(amp)
-        clean = inverse_wht_inplace(Signal(walsh, Domain.WALSH))
+            data[idx] = float(amp) * 2.0 ** -n
+    fwht_array(data)
+    clean = Signal(data, Domain.TIME)
 
-    rng = np.random.default_rng(spec.seed)
-    kind = spec.noise_kind
-    if kind == NoiseKind.NONE or spec.sigma == 0:
-        noisy = clean.copy()
-        return clean, noisy
-    if kind == NoiseKind.RADEMACHER:
-        noise = _rademacher_signs(rng, dim)
-        if clean.is_exact and float(spec.sigma).is_integer():
-            noise *= int(spec.sigma)
-            noise += clean.data
-            check_magnitude_bound(noise, n)
-            return clean, Signal(noise, Domain.TIME)
-        noise = noise * float(spec.sigma)
-    elif kind == NoiseKind.UNIFORM:
-        half_width = spec.sigma * math.sqrt(3.0)  # variance sigma**2
-        noise = rng.uniform(-half_width, half_width, dim)
-    else:
-        noise = rng.normal(0.0, spec.sigma, dim)
+    if spec.noise_kind == NoiseKind.NONE or spec.sigma == 0:
+        return clean, clean.copy()
+    noise = _noise(np.random.default_rng(spec.seed), spec.noise_kind,
+                   spec.sigma, dim, exact=clean.is_exact)
     _add_slices(noise, clean.data)
+    check_magnitude_bound(noise, n)
     return clean, Signal(noise, Domain.TIME)
 
 
-def _add_slices(noise: np.ndarray, clean: np.ndarray) -> None:
-    """``noise += clean`` for float64 noise, slice by slice.
+def _noise(rng: np.random.Generator, kind: NoiseKind, sigma: float, dim: int,
+           exact: bool = False) -> np.ndarray:
+    """``dim`` samples of zero-mean noise with standard deviation sigma.
 
-    Float addition commutes, so this is ``clean.astype(float64) + noise``
-    bit for bit. numpy casts an int64 operand through a buffer of up to
-    8192 elements per call; slices of half that keep the buffer at
-    32 KiB, so gen's memory beyond its two arrays stays under 64 KiB.
+    float64, except that Rademacher noise stays int64 when ``exact`` is
+    set and sigma is an integer.
+    """
+    if kind == NoiseKind.RADEMACHER:
+        # rng.integers(0, 2, dim) * 2 - 1, built in the one int64 array.
+        signs = rng.integers(0, 2, dim)
+        signs *= 2
+        signs -= 1
+        if exact and float(sigma).is_integer():
+            signs *= int(sigma)
+            return signs
+        return signs * float(sigma)
+    if kind == NoiseKind.UNIFORM:
+        half_width = sigma * math.sqrt(3.0)  # variance sigma**2
+        return rng.uniform(-half_width, half_width, dim)
+    if kind == NoiseKind.GAUSSIAN:
+        return rng.normal(0.0, sigma, dim)
+    if kind == NoiseKind.NONE:
+        return np.zeros(dim)
+    raise BadArguments(f"unknown noise kind {kind!r}")
+
+
+def _add_slices(noise: np.ndarray, clean: np.ndarray) -> None:
+    """``noise += clean``, slice by slice.
+
+    Addition commutes, so for float64 noise this is
+    ``clean.astype(float64) + noise`` bit for bit. numpy casts an int64
+    operand through a buffer of up to 8192 elements per call; slices of
+    half that keep the buffer at 32 KiB, so gen's memory beyond its two
+    arrays stays under 64 KiB.
     """
     for start in range(0, noise.size, _CAST_SLICE):
         part = noise[start : start + _CAST_SLICE]
         part += clean[start : start + _CAST_SLICE]
-
-
-def _rademacher_signs(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """``rng.integers(0, 2, dim) * 2 - 1``, built in the one int64 array."""
-    signs = rng.integers(0, 2, dim)
-    signs *= 2
-    signs -= 1
-    return signs
 
 
 def snr(sig: Signal, sigma: float) -> SnrReport:
@@ -247,14 +254,15 @@ def extract_above(sig: Signal, tau) -> list[tuple[int, float]]:
 
 
 def extract_above_dataset(
-    ds: DatasetFile, tau, io_block_elems: int = 1 << 16
+    ds: dataset.DatasetFile, tau
 ) -> list[tuple[int, float]]:
-    """Streaming extraction over a Walsh-domain dataset, block by block."""
+    """Streaming extraction over a Walsh-domain dataset, one
+    ``dataset.STREAM_BLOCK_ELEMS`` block at a time."""
     if ds.domain != "walsh":
         raise BadArguments(f"{ds.path} is not Walsh-domain")
     _check_tau(tau)
     hits: list[tuple[int, float]] = []
-    block = min(io_block_elems, ds.dim)
+    block = min(dataset.STREAM_BLOCK_ELEMS, ds.dim)
     for start in range(0, ds.dim, block):
         _extract(ds.read_block(start, min(block, ds.dim - start)), start, tau, hits)
     hits.sort(key=lambda item: (-abs(item[1]), item[0]))
@@ -294,21 +302,9 @@ def noise_walsh_variance_check(
     if not 0 <= sigma < math.inf:
         raise BadArguments(f"sigma must be finite and >= 0, got {sigma}")
     dim = 1 << n
-    seeds = np.random.SeedSequence(seed).spawn(trials)
     total = 0.0
-    for trial_seed in seeds:
-        rng = np.random.default_rng(trial_seed)
-        if kind == NoiseKind.UNIFORM:
-            half_width = sigma * math.sqrt(3.0)
-            noise = rng.uniform(-half_width, half_width, dim)
-        elif kind == NoiseKind.RADEMACHER:
-            noise = _rademacher_signs(rng, dim) * float(sigma)
-        elif kind == NoiseKind.GAUSSIAN:
-            noise = rng.normal(0.0, sigma, dim)
-        elif kind == NoiseKind.NONE:
-            noise = np.zeros(dim)
-        else:
-            raise BadArguments(f"unknown noise kind {kind!r}")
+    for trial_seed in np.random.SeedSequence(seed).spawn(trials):
+        noise = _noise(np.random.default_rng(trial_seed), kind, sigma, dim)
         fwht_array(noise)
         total += float(np.mean(noise * noise))
     return total / trials

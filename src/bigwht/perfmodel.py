@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from .bits import is_power_of_two
 from .errors import BadArguments, EmptyReport
 from .iobench import IoBenchReport
+from .subspace import coverage_model
 
 CPU_REF_SECONDS_DEFAULT = 2.5
 CPU_REF_LOG2_DIM_DEFAULT = 26
@@ -121,8 +122,8 @@ def estimate_distributed(
     Per-machine time is the fold's CPU cost at source scale plus the
     reduced run's I/O cost (the reduced run's own in-memory time is
     negligible against the fold and is not counted). Expected coverage is
-    the chance a nonzero coefficient index lands in at least one of the
-    ``machines`` random subspaces.
+    ``subspace.coverage_model``: the chance a nonzero coefficient index
+    lands in at least one of the ``machines`` random subspaces.
     """
     if machines < 1:
         raise BadArguments(f"machines must be >= 1, got {machines}")
@@ -133,11 +134,9 @@ def estimate_distributed(
         )
     fold_cpu = t_cpu(params, n_source)
     reduced = estimate(params, n_reduced, mem_log2)
-    subspace_fraction = 2.0 ** -(n_source - n_reduced)
-    coverage = 1.0 - (1.0 - subspace_fraction) ** machines
     return DistributedEstimate(
         per_machine_seconds=fold_cpu + reduced.t_io_seconds,
-        expected_coverage=coverage,
+        expected_coverage=coverage_model(n_source, n_reduced, machines),
         machines=machines,
         fold_cpu_seconds=fold_cpu,
         reduced_io_seconds=reduced.t_io_seconds,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import is_power_of_two, parity_array
+from . import dataset
+from .bits import parity_array
 from .core import Domain, Signal
-from .dataset import DatasetFile
 from .errors import BadArguments, BadDims, BadMetadata, DimMismatch
 from .parallel import usable_cpus
 
@@ -69,27 +69,12 @@ class LinearMap:
 
 
 def gf2_rank(matrix: np.ndarray) -> int:
-    """Rank over GF(2) by Gaussian elimination with XOR row updates."""
-    work = (np.asarray(matrix, dtype=np.uint8) % 2).copy()
-    n_rows, n_cols = work.shape
-    rank = 0
-    for col in range(n_cols):
-        pivot = -1
-        for row in range(rank, n_rows):
-            if work[row, col]:
-                pivot = row
-                break
-        if pivot < 0:
-            continue
-        if pivot != rank:
-            work[[rank, pivot]] = work[[pivot, rank]]
-        for row in range(rank + 1, n_rows):
-            if work[row, col]:
-                work[row] ^= work[rank]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    """Rank over GF(2): the rows as integer bitmasks, reduced to echelon
+    form by ``_echelon_masks``."""
+    packed = np.packbits(np.asarray(matrix, dtype=np.uint8) % 2, axis=1,
+                         bitorder="little")
+    return len(_echelon_masks([int.from_bytes(row.tobytes(), "little")
+                               for row in packed]))
 
 
 def random_full_rank(d_in: int, d_out: int, seed) -> LinearMap:
@@ -168,16 +153,12 @@ def image_table(lmap: LinearMap, log2_count: int) -> np.ndarray:
     return _subset_xor(lmap.column_masks()[:log2_count])
 
 
-# fold_dataset's default block, which fold() also uses so the two agree
-# bit for bit on float64.
-_BLOCK_ELEMS = 1 << 16
-
-
 def fold(sig: Signal, lmap: LinearMap) -> Signal:
     """x'[j'] = sum of x[j] over the preimage L.j = j'; mass-preserving.
 
     Runs ``fold_dataset``'s block routine over slices of ``sig.data``
-    with its default block, so the two return the same bytes.
+    of the same ``dataset.STREAM_BLOCK_ELEMS`` elements, so the two
+    return the same bytes.
     """
     if sig.domain != Domain.TIME:
         raise BadArguments("fold is defined on time-domain signals")
@@ -186,7 +167,7 @@ def fold(sig: Signal, lmap: LinearMap) -> Signal:
             f"signal has n={sig.log2_dim}, map expects d_in={lmap.d_in}"
         )
     data = sig.data
-    block = min(_BLOCK_ELEMS, data.shape[0])
+    block = min(dataset.STREAM_BLOCK_ELEMS, data.shape[0])
 
     def slices():
         return lambda start: data[start : start + block]
@@ -195,13 +176,11 @@ def fold(sig: Signal, lmap: LinearMap) -> Signal:
                   Domain.TIME)
 
 
-def fold_dataset(
-    ds: DatasetFile, lmap: LinearMap, io_block_elems: int = _BLOCK_ELEMS
-) -> np.ndarray:
+def fold_dataset(ds: dataset.DatasetFile, lmap: LinearMap) -> np.ndarray:
     """Streaming fold: one linear scan of the source dataset, accumulating
     into an in-memory array of 2**d_out elements.
 
-    ``io_block_elems`` must be a power of two. Blocks then start at
+    Blocks of ``dataset.STREAM_BLOCK_ELEMS``, a power of two, start at
     multiples of their length, so start + off = start XOR off and
     L . (start + off) = L . start XOR L . off: one offset table of block
     length serves every block. When 8 * 2**d_out <= block, each block
@@ -228,11 +207,7 @@ def fold_dataset(
         raise DimMismatch(
             f"dataset has n={ds.log2_dim}, map expects d_in={lmap.d_in}"
         )
-    if not is_power_of_two(io_block_elems):
-        raise BadArguments(
-            f"io_block_elems must be a power of two, got {io_block_elems}"
-        )
-    block = min(io_block_elems, ds.dim)
+    block = min(dataset.STREAM_BLOCK_ELEMS, ds.dim)
 
     def reads_into_own_buffer():
         buf = np.empty(block, dtype=ds.dtype)

@@ -402,6 +402,21 @@ class TestParseval:
         sig = int_signal([1 << 40] * 4)
         assert parseval_energy(sig) == 4 * (1 << 80)
 
+    def test_exact_sum_holds_one_tile_of_python_ints(self):
+        # A Python int of this size plus its list slot costs 40 bytes, so
+        # converting the whole 2**18 array at once would peak near 10 MB.
+        rng = np.random.default_rng(7)
+        x = rng.integers(-(1 << 40), 1 << 40, 1 << 18)
+        parseval_energy(int_signal([1, 2]))  # first-call caches
+        tracemalloc.start()
+        try:
+            energy = parseval_energy(Signal(x))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == sum(v * v for v in x.tolist())
+        assert peak <= 48 * TILE_ELEMS
+
 
 def test_magnitude_bound_edge():
     # M * 2**n == 2**63 exactly is rejected; one less passes.

@@ -77,6 +77,15 @@ class TestGen:
         walsh = fwht_inplace(clean.copy())
         assert walsh.data[2] == pytest.approx(4.5, rel=1e-12)
 
+    def test_fractional_path_scales_before_summing(self):
+        # The 0.5 keeps gen on the float64 path. Summing 1e308 + 1e308
+        # before dividing by 2**n would overflow to inf, then NaN.
+        clean, _ = gen(spec_for(4, [(1, 1e308), (2, 1e308), (3, 0.5)]))
+        assert np.all(np.isfinite(clean.data))
+        walsh = clean.data.copy()
+        fwht_array(walsh)
+        assert walsh[1] == walsh[2] == 1e308
+
     def test_uniform_noise_bounds(self):
         sigma = 2.0
         _, noisy = gen(spec_for(10, [(0, 1 << 10)], NoiseKind.UNIFORM, sigma, 1))
@@ -292,14 +301,15 @@ class TestExtract:
         with pytest.raises(BadArguments):
             extract_above(Signal(np.zeros(4, dtype=np.int64)), 1)
 
-    def test_int64_minimum_is_reported(self, tmp_path):
+    def test_int64_minimum_is_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "STREAM_BLOCK_ELEMS", 2)
         data = np.array([3, -(1 << 63), 0, (1 << 63) - 1], dtype=np.int64)
         expected = [(1, -(1 << 63)), (3, (1 << 63) - 1), (0, 3)]
         assert extract_above(Signal(data, Domain.WALSH), 1) == expected
         path = str(tmp_path / "walsh.bin")
         dataset.write_signal(path, data, domain="walsh")
         with dataset.open_validated(path) as ds:
-            assert extract_above_dataset(ds, 1, io_block_elems=2) == expected
+            assert extract_above_dataset(ds, 1) == expected
             assert extract_above_dataset(ds, 1 << 63) == [(1, -(1 << 63))]
             assert extract_above_dataset(ds, 1 << 64) == []
 
@@ -318,13 +328,14 @@ class TestExtract:
             with pytest.raises(BadArguments, match="tau"):
                 extract_above_dataset(ds, math.nan)
 
-    def test_streaming_matches_in_memory(self, tmp_path):
+    def test_streaming_matches_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "STREAM_BLOCK_ELEMS", 64)
         rng = np.random.default_rng(13)
         data = rng.integers(-1000, 1000, 1 << 10).astype(np.int64)
         path = str(tmp_path / "walsh.bin")
         dataset.write_signal(path, data, domain="walsh")
         with dataset.open_validated(path) as ds:
-            streamed = extract_above_dataset(ds, 700, io_block_elems=64)
+            streamed = extract_above_dataset(ds, 700)
         in_memory = extract_above(Signal(data, Domain.WALSH), 700)
         assert streamed == in_memory
 

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import bigwht
@@ -45,3 +46,32 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def _referenced_names(node):
+    """Every name and attribute name read or written under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_no_unreferenced_private_helpers():
+    # A deletion must not leave behind a private helper that only its old
+    # callers used: each private module-level function or class is
+    # referenced somewhere in the package outside its own definition.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(bigwht.__file__).parent.glob("*.py"))}
+    counts = Counter(name for tree in trees.values()
+                     for name in _referenced_names(tree))
+    unreferenced = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name.startswith("_")):
+                own = sum(name == node.name for name in _referenced_names(node))
+                if counts[node.name] == own:
+                    unreferenced.append(f"{filename} {node.name}")
+    assert unreferenced == []

@@ -110,19 +110,21 @@ class TestFold:
         with pytest.raises(BadArguments):
             fold(Signal(np.zeros(8, dtype=np.int64), Domain.WALSH), lmap)
 
-    def test_streaming_matches_in_memory(self, tmp_path):
+    def test_streaming_matches_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "STREAM_BLOCK_ELEMS", 32)
         rng = np.random.default_rng(7)
         x = rng.integers(-99, 99, 1 << 9).astype(np.int64)
         lmap = random_full_rank(9, 5, seed=11)
         path = str(tmp_path / "src.bin")
         dataset.write_signal(path, x)
         with dataset.open_validated(path) as ds:
-            streamed = fold_dataset(ds, lmap, io_block_elems=32)
+            streamed = fold_dataset(ds, lmap)
         assert np.array_equal(streamed, fold(Signal(x), lmap).data)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("block", [1, 32, 1 << 9, 1 << 11])
-    def test_streaming_block_sizes(self, tmp_path, dtype, block):
+    def test_streaming_block_sizes(self, tmp_path, monkeypatch, dtype, block):
+        monkeypatch.setattr(dataset, "STREAM_BLOCK_ELEMS", block)
         rng = np.random.default_rng(8)
         x = rng.integers(-99, 99, 1 << 9).astype(dtype)
         lmap = random_full_rank(9, 5, seed=12)
@@ -132,19 +134,10 @@ class TestFold:
         path = str(tmp_path / "src.bin")
         dataset.write_signal(path, x)
         with dataset.open_validated(path) as ds:
-            streamed = fold_dataset(ds, lmap, io_block_elems=block)
+            streamed = fold_dataset(ds, lmap)
         assert streamed.dtype == dtype
         assert np.array_equal(streamed, reference)
         assert np.array_equal(streamed, fold(Signal(x), lmap).data)
-
-    @pytest.mark.parametrize("block", [0, 3, 48])
-    def test_streaming_rejects_non_power_of_two_block(self, tmp_path, block):
-        lmap = random_full_rank(6, 3, seed=13)
-        path = str(tmp_path / "src.bin")
-        dataset.write_signal(path, np.arange(1 << 6, dtype=np.int64))
-        with dataset.open_validated(path) as ds:
-            with pytest.raises(BadArguments):
-                fold_dataset(ds, lmap, io_block_elems=block)
 
     def test_image_table_matches_apply_map(self):
         lmap = random_full_rank(10, 4, seed=14)
@@ -219,6 +212,7 @@ class TestParallelFold:
 
     def test_worker_failure_surfaces(self, int_path, monkeypatch):
         set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(dataset, "STREAM_BLOCK_ELEMS", 1 << 14)
         path, _ = int_path
         lmap = random_full_rank(self.N, 12, seed=34)
         reads = []
@@ -233,13 +227,14 @@ class TestParallelFold:
         with dataset.open_validated(path) as ds:
             ds.fault_hook = hook
             with pytest.raises(IoFailure, match="injected"):
-                fold_dataset(ds, lmap, io_block_elems=1 << 14)
+                fold_dataset(ds, lmap)
 
     def test_failure_stops_the_other_worker(self, int_path, monkeypatch):
         # 16 blocks on 2 workers: after the failing third read the other
         # worker may finish the read it has issued, and issues no more.
         workers = 2
         set_cpus(monkeypatch, workers)
+        monkeypatch.setattr(dataset, "STREAM_BLOCK_ELEMS", 1 << 14)
         path, _ = int_path
         lmap = random_full_rank(self.N, 12, seed=36)
         reads = []
@@ -254,7 +249,7 @@ class TestParallelFold:
         with dataset.open_validated(path) as ds:
             ds.fault_hook = hook
             with pytest.raises(IoFailure, match="injected"):
-                fold_dataset(ds, lmap, io_block_elems=1 << 14)
+                fold_dataset(ds, lmap)
         assert 3 <= len(reads) <= 3 + (workers - 1)
 
     def test_reads_every_element_once(self, int_path, monkeypatch):
