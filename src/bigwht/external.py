@@ -1,32 +1,33 @@
 """Out-of-core WHT over a DatasetFile with at most 2**B elements in RAM.
 
 The passes run ``parallel.StagePlan`` (B, S), the plan type the thread
-schedule runs, as q = n - B + 1 disk passes: pass 0 transforms each
-contiguous superblock (chunk) of 2**B elements in memory (covering
-butterfly stages 0 .. B-1), then each remaining pass performs one stage
-k = B .. n-1 directly against the file. Every pass reads and writes each
-dataset byte exactly once. With B >= n the plan is the single pass 0 over
-one superblock, the whole dataset: that is the CLI's in-memory transform.
+schedule runs, as q = n - B + 1 disk passes, one per step of
+``plan.steps()``: pass 0 transforms each contiguous superblock (chunk)
+of 2**B elements in memory (covering butterfly stages 0 .. B-1), then
+each remaining pass performs one stage k = B .. n-1 directly against the
+file. Every pass reads and writes each dataset byte exactly once. With
+B >= n the plan is the single pass 0 over one superblock, the whole
+dataset: that is the CLI's in-memory transform.
 
 The memory budget B and the transfer size S, both in elements, are the
-engine's whole configuration. One stage-pass executor walks the plan's
-runs of S elements, reads each with its partner 2**k further on,
-butterflies them and writes them back. S is independent of B and bounded
-by S <= 2**(B-1) so two runs fit the memory budget. The paper's two
-modes are values of S: blocked mode turns the arithmetic into large
-sequential transfers, and entry-wise mode is S = 1, the paper's
-skip-rule loop: read pt, read pt + 2**k, write both, one element per
-operation.
+engine's whole configuration. One executor, ``_file_pass``, runs every
+pass: for each task of the step it reads the task's runs into the rows
+of one reused buffer, computes on them in place and writes them back.
+Pass 0's tasks are the superblocks, in a (1, 2**B) buffer; a stage
+pass's tasks are pairs of S-element runs 2**k apart, in a (2, S) buffer,
+butterflied. S is independent of B and bounded by S <= 2**(B-1) so two
+runs fit the memory budget. The paper's two modes are values of S:
+blocked mode turns the arithmetic into large sequential transfers, and
+entry-wise mode is S = 1, the paper's skip-rule loop: read pt, read
+pt + 2**k, write both, one element per operation.
 
-Pass 0 runs each superblock on the thread schedule of ``parallel``, with
-2**p workers for the process's usable CPUs (p = floor(log2 CPUs), capped
-at B - 1; p = 0 is the serial kernel). Reads, the bound check and writes
-stay on the calling thread, in order. Memory stays within the 2**B
-budget: pass 0 holds one 2**B superblock buffer, which every superblock
-read (and the overflow undo) reuses, plus one 2**16-element tile
-(512 KiB) of kernel scratch per worker; a stage pass holds two S-element
-run buffers, which every pair of runs reuses, plus half a tile of
-butterfly scratch. Meanwhile the dataset handle writes back behind the
+Pass 0 computes each superblock on the thread schedule of ``parallel``,
+with 2**p workers for the process's usable CPUs (p = floor(log2 CPUs),
+capped at B - 1; p = 0 is the serial kernel). Reads, the bound check and
+writes stay on the calling thread, in order. Memory stays within the
+2**B budget: the pass buffer, plus one 2**16-element tile (512 KiB) of
+kernel scratch per worker in pass 0 or half a tile of butterfly scratch
+in a stage pass. Meanwhile the dataset handle writes back behind the
 passes on a background sync thread, so the flush that ends each pass
 waits only for the last few megabytes.
 
@@ -34,20 +35,22 @@ No marker is written before the run's first payload write, so a run that
 is refused or fails before then (say, on the first superblock's read or
 bound check) leaves the sidecar as it was and can simply be rerun; so
 does an int64 overflow found in a later superblock, which undoes the
-superblocks already written. After every completed pass the sidecar
-gains an updated pass-progress marker, so an interrupted run can be
-restarted from the failed pass with ``resume=True``. A restart is exact
-when the interrupted pass had not yet written (it failed on a read, or
-the process died between passes). A pass killed after its writes began
-cannot be re-run -- butterflies are not idempotent -- so the sidecar
-flags that state the moment a pass first writes, and resume refuses it
-instead of corrupting the data.
+superblocks already written through the same executor. After every
+completed pass the sidecar gains an updated pass-progress marker, so an
+interrupted run can be restarted from the failed pass with
+``resume=True``. A restart is exact when the interrupted pass had not
+yet written (it failed on a read, or the process died between passes).
+A pass killed after its writes began cannot be re-run -- butterflies are
+not idempotent -- so the executor flags that state in the sidecar just
+before the pass's first write, and resume refuses it instead of
+corrupting the data.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -112,19 +115,9 @@ def run_external_blocked(
     plan = plan_external(ds.log2_dim, mem_log2, io_block_elems)
     start = _start_pass_index(ds, plan, mem_log2, resume)
     executed = []
-    for index, stage in enumerate((None, *plan.stages)[start:], start):
-        sentinel = _FirstWriteSentinel(
-            ds, _marker_for(plan, mem_log2, index, writing=True)
-        )
-        ds.fault_hook = sentinel
-        try:
-            if stage is None:
-                _initial_pass(ds, plan)
-            else:
-                _blocked_stage_pass(ds, plan, stage)
-            ds.flush()
-        finally:
-            ds.fault_hook = sentinel.inner
+    for index, step in enumerate(islice(plan.steps(), start, None), start):
+        _run_pass(ds, plan, step, _marker_for(plan, mem_log2, index, writing=True))
+        ds.flush()
         ds.set_progress_marker(_marker_for(plan, mem_log2, index + 1))
         executed.append(index)
     # One sidecar write: a kill between clearing the marker and flipping
@@ -181,90 +174,77 @@ def _start_pass_index(
     return marker["passes_done"]
 
 
-class _FirstWriteSentinel:
-    """Records ``marker`` in the sidecar before a pass's first payload write.
+def _file_pass(ds: DatasetFile, tasks, buf: np.ndarray, compute,
+               marker: dict) -> None:
+    """The one disk-pass executor: for each task, a tuple of run starts,
+    read the runs into the rows of ``buf``, ``compute(buf)`` in place and
+    write the rows back, in that order.
 
-    A kill before any write of the current pass is cleanly resumable (the
-    pass just reruns); one after writes began is not, and the marker's
-    ``writing`` flag is how a later resume tells the two apart. Chains to
-    any existing hook so fault-injecting tests still work, and a hook that
-    raises on a read leaves the pass unflagged, as it should.
+    ``buf`` is one (runs, length) array that every task reuses. The
+    pass's ``writing`` marker goes to the sidecar immediately before its
+    first write, so a pass that fails on a read or in ``compute`` before
+    then stays cleanly resumable.
     """
-
-    def __init__(self, ds: DatasetFile, marker: dict):
-        self.ds = ds
-        self.marker = marker
-        self.inner = ds.fault_hook
-        self.armed = True
-
-    def __call__(self, op: str, start: int, count: int) -> None:
-        if self.inner is not None:
-            self.inner(op, start, count)
-        if self.armed and op == "write":
-            self.armed = False
-            self.ds.set_progress_marker(self.marker)
+    rows = list(buf)
+    for task, starts in enumerate(tasks):
+        for row, start in zip(rows, starts):
+            ds.read_block(start, row.size, out=row)
+        compute(buf)
+        if task == 0:
+            ds.set_progress_marker(marker)
+        for row, start in zip(rows, starts):
+            ds.write_block(start, row)
 
 
-def _initial_pass(ds: DatasetFile, plan: StagePlan) -> None:
-    """Superblock WHTs covering stages 0 .. B-1 (all stages when n <= B)."""
+def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
+    """Run one step of ``plan.steps()`` as one ``_file_pass`` over ``ds``.
+
+    A stage step butterflies each pair of S-element runs. The chunk step
+    bound-checks and transforms each superblock on the thread schedule;
+    an int64 overflow found in a later superblock undoes the superblocks
+    already written, through the same buffer. The undo is exact: H * H =
+    2**B * I, and these values passed the bound, so each transformed
+    value is a multiple of 2**B and the arithmetic shift by B divides it
+    exactly. A kill in the undo leaves ``writing: true``, which every
+    later run refuses.
+    """
+    stages, length, tasks = step
+    if stages.start:  # a stage step; the chunk step starts at stage 0
+        _file_pass(ds, tasks, np.empty((2, length), dtype=ds.dtype),
+                   lambda rows: butterfly(*rows), marker)
+        return
     n, b = plan.log2_dim, plan.block_log2
     p = max(0, min(usable_cpus().bit_length() - 1, b - 1))
     block_plan = plan_parallel(b, p) if p else None
-    # One superblock buffer for the whole pass: a fresh array per read
-    # would hold two superblocks while the old one is still bound.
-    block = np.empty(1 << b, dtype=ds.dtype)
+    done = 0
+
+    def transform(rows: np.ndarray) -> None:
+        nonlocal done
+        block = rows[0]
+        # The original data streams by exactly once here, so this is
+        # where the whole-transform magnitude bound gets enforced.
+        check_magnitude_bound(block, n)
+        if block_plan is None:
+            fwht_array(block)
+        else:
+            run_plan(block, block_plan, pool)
+        done += 1
+
+    def undo(rows: np.ndarray) -> None:
+        fwht_array(rows[0])
+        rows >>= b
+
+    # One superblock buffer for the pass and its undo: a fresh array per
+    # read would hold two superblocks while the old one is still bound.
+    buf = np.empty((1, length), dtype=ds.dtype)
     # Threads start on first submit, so the serial case starts none.
     with ThreadPoolExecutor(max_workers=1 << p) as pool:
-        for done, start in enumerate(plan.chunks()):
-            ds.read_block(start, 1 << b, out=block)
-            # The original data streams by exactly once here, so this is
-            # where the whole-transform magnitude bound gets enforced.
-            try:
-                check_magnitude_bound(block, n)
-            except OverflowBoundError:
-                if done:  # superblocks 0 .. done-1 are written: undo them
-                    _undo_superblocks(ds, plan, done, block)
-                raise
-            if block_plan is None:
-                fwht_array(block)
-            else:
-                run_plan(block, block_plan, pool)
-            ds.write_block(start, block)
-
-
-def _undo_superblocks(
-    ds: DatasetFile, plan: StagePlan, count: int, block: np.ndarray
-) -> None:
-    """Restore the first ``count`` superblocks through the superblock
-    buffer ``block``, and clear the marker.
-
-    Exact: H * H = 2**B * I, and these int64 values passed the bound,
-    so each transformed value is a multiple of 2**B and the arithmetic
-    shift by B divides it exactly. A kill in here leaves ``writing:
-    true``, which every later run refuses.
-    """
-    for start in plan.chunks()[:count]:
-        ds.read_block(start, block.size, out=block)
-        fwht_array(block)
-        block >>= plan.block_log2
-        ds.write_block(start, block)
-    ds.flush()
-    ds.set_progress_marker(None)
-
-
-def _blocked_stage_pass(ds: DatasetFile, plan: StagePlan, stage: int) -> None:
-    """Stage k via paired S-element blocks from disjoint file regions,
-    read into two run buffers that the whole pass reuses.
-
-    With S = 1 the loop order is the entry-wise skip rule: pt runs over
-    the indices whose bit k is clear, each paired with pt + 2**k.
-    """
-    j, s = 1 << stage, plan.run_elems
-    lo = np.empty(s, dtype=ds.dtype)
-    hi = np.empty(s, dtype=ds.dtype)
-    for pt in plan.runs(stage):
-        ds.read_block(pt, s, out=lo)
-        ds.read_block(pt + j, s, out=hi)
-        butterfly(lo, hi)
-        ds.write_block(pt, lo)
-        ds.write_block(pt + j, hi)
+        try:
+            _file_pass(ds, tasks, buf, transform, marker)
+        except OverflowBoundError:
+            if done:  # superblocks 0 .. done-1 are written: undo them
+                _file_pass(ds, ((c,) for c in plan.chunks()[:done]), buf,
+                           undo, marker)
+                ds.flush()
+                ds.set_progress_marker(None)
+            raise

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataset
-from .core import Domain, Signal, check_magnitude, check_magnitude_bound, \
-    fwht_array, parseval_energy
+from .core import Domain, Signal, check_magnitude, fwht_array, parseval_energy
 from .errors import BadArguments, BadSpec
 
 
@@ -97,7 +96,8 @@ def gen(spec: NoisySignalSpec) -> tuple[Signal, Signal]:
     Each amplitude is scaled by 2**-n and one forward transform makes the
     signal, so no inverse and no division runs. Amplitudes that are
     integer multiples of 2**n stay exact int64: the scaling is a right
-    shift by n, and the overflow bound is checked on the amplitudes.
+    shift by n, and the overflow bound is checked on the amplitudes and,
+    before integer Rademacher noise is added, on max |clean| + sigma.
     Other amplitudes are scaled in float64, where a power of two scales
     exactly, and scaling before the sums keeps every intermediate within
     the amplitudes' range. The noisy signal is float64 unless the clean
@@ -125,10 +125,16 @@ def gen(spec: NoisySignalSpec) -> tuple[Signal, Signal]:
 
     if spec.noise_kind == NoiseKind.NONE or spec.sigma == 0:
         return clean, clean.copy()
+    exact = (clean.is_exact and spec.noise_kind == NoiseKind.RADEMACHER
+             and float(spec.sigma).is_integer())
+    if exact:
+        # int64 sums wrap silently, so the bound on the noisy signal,
+        # max |clean| + sigma, is checked before the noise is added.
+        check_magnitude(max(int(data.max()), -int(data.min()))
+                        + int(spec.sigma), n)
     noise = _noise(np.random.default_rng(spec.seed), spec.noise_kind,
-                   spec.sigma, dim, exact=clean.is_exact)
+                   spec.sigma, dim, exact=exact)
     _add_slices(noise, clean.data)
-    check_magnitude_bound(noise, n)
     return clean, Signal(noise, Domain.TIME)
 
 
@@ -137,14 +143,14 @@ def _noise(rng: np.random.Generator, kind: NoiseKind, sigma: float, dim: int,
     """``dim`` samples of zero-mean noise with standard deviation sigma.
 
     float64, except that Rademacher noise stays int64 when ``exact`` is
-    set and sigma is an integer.
+    set; sigma must then be an integer.
     """
     if kind == NoiseKind.RADEMACHER:
         # rng.integers(0, 2, dim) * 2 - 1, built in the one int64 array.
         signs = rng.integers(0, 2, dim)
         signs *= 2
         signs -= 1
-        if exact and float(sigma).is_integer():
+        if exact:
             signs *= int(sigma)
             return signs
         return signs * float(sigma)

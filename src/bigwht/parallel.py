@@ -2,12 +2,16 @@
 
 ``StagePlan(n, B, S)`` transforms each contiguous chunk of 2**B elements
 on its own (stages 0 .. B-1), then performs each stage k = B .. n-1 as
-butterflies between paired runs of S elements 2**k apart. Within a step
-the index sets of distinct subtasks are pairwise disjoint, which is what
-makes mutating one shared buffer (or file) safe; the plan checker below
-proves it for any concrete plan. The thread schedule for 2**p workers is
-the plan with B = n - p and S = 2**(B-1); the disk passes of ``external``
-are the plan with the memory budget's B and the transfer size S.
+butterflies between paired runs of S elements 2**k apart. ``steps()`` is
+the one walk over that plan: each barrier-separated step as (stages, run
+length, tasks), a task being the tuple of run starts it transforms.
+``run_plan`` submits each task to a thread pool, the disk engine of
+``external`` runs each step as one file pass, and the plan checker below
+walks the same tasks, proving that within a step they touch pairwise
+disjoint indices -- which is what makes mutating one shared buffer (or
+file) safe. The thread schedule for 2**p workers is the plan with
+B = n - p and S = 2**(B-1); the disk passes are the plan with the memory
+budget's B and the transfer size S.
 """
 
 from __future__ import annotations
@@ -53,6 +57,26 @@ class StagePlan:
         for base in range(0, 1 << self.log2_dim, j << 1):
             yield from range(base, base + j, self.run_elems)
 
+    def steps(self) -> Iterator[tuple[range, int, Iterator[tuple[int, ...]]]]:
+        """Each barrier-separated step as (stages, run length, tasks).
+
+        The chunk step covers stages 0 .. B-1 with one task ``(c,)`` per
+        chunk of 2**B elements; stage k's step has one task
+        ``(lo, lo + 2**k)`` per ``runs(k)`` start, over runs of S
+        elements. Tasks are lazy, since S = 1 makes 2**(n-1) per step.
+        """
+        b = self.block_log2
+        yield range(b), 1 << b, ((c,) for c in self.chunks())
+        for k in self.stages:
+            yield range(k, k + 1), self.run_elems, self._pairs(k)
+
+    def _pairs(self, k: int) -> Iterator[tuple[int, int]]:
+        # A generator function, so each step's tasks keep their own k even
+        # when the steps are listed before their tasks are consumed.
+        j = 1 << k
+        for lo in self.runs(k):
+            yield lo, lo + j
+
 
 def plan_parallel(n: int, p: int) -> StagePlan:
     """Build the (p+1)-phase schedule for dimension 2**n on 2**p workers.
@@ -72,41 +96,37 @@ def plan_parallel(n: int, p: int) -> StagePlan:
 
 
 def check_disjoint(plan: StagePlan) -> None:
-    """Prove no index is touched by two subtasks of the same step.
+    """Prove no index is touched by two runs of the same step.
 
-    Also checks every index is in range. Raises ValidationError on any
-    overlap; O(2**n) per step, intended for verification at desk scale.
+    Walks ``plan.steps()``, the tasks the executors run, and also checks
+    every run lies in range. Raises ValidationError on any overlap;
+    O(2**n) per step, intended for verification at desk scale.
     """
-    dim, size, s = 1 << plan.log2_dim, 1 << plan.block_log2, plan.run_elems
-    for step, k in enumerate((None, *plan.stages)):
-        if k is None:
-            tasks = [set(range(c, c + size)) for c in plan.chunks()]
-        else:
-            j = 1 << k
-            tasks = [set(range(lo, lo + s)) | set(range(lo + j, lo + j + s))
-                     for lo in plan.runs(k)]
-        seen: set[int] = set()
-        for task, indices in enumerate(tasks):
-            if min(indices) < 0 or max(indices) >= dim:
-                raise ValidationError(
-                    f"step {step} subtask {task} reaches out of range"
-                )
-            overlap = seen & indices
-            if overlap:
-                raise ValidationError(
-                    f"step {step} subtask {task} overlaps earlier "
-                    f"subtasks at {sorted(overlap)[:4]}"
-                )
-            seen |= indices
+    dim = 1 << plan.log2_dim
+    for step, (_, length, tasks) in enumerate(plan.steps()):
+        seen = np.zeros(dim, dtype=bool)
+        for task, starts in enumerate(tasks):
+            for start in starts:
+                if start < 0 or start + length > dim:
+                    raise ValidationError(
+                        f"step {step} subtask {task} reaches out of range"
+                    )
+                run = seen[start : start + length]
+                if run.any():
+                    raise ValidationError(
+                        f"step {step} subtask {task} overlaps earlier runs "
+                        f"at {(start + np.flatnonzero(run)[:4]).tolist()}"
+                    )
+                run[:] = True
 
 
 def total_butterflies(plan: StagePlan) -> int:
-    """Butterflies across all steps; equals n * 2**(n-1) for a valid plan."""
-    b = plan.block_log2
-    total = len(plan.chunks()) * ((b << b) // 2)
-    for k in plan.stages:
-        total += plan.run_elems * sum(1 for _ in plan.runs(k))
-    return total
+    """Butterflies across all steps; equals n * 2**(n-1) for a valid plan.
+
+    A step of r stages over ``runs`` runs of L elements does r * runs * L / 2.
+    """
+    return sum(len(stages) * sum(map(len, tasks)) * length
+               for stages, length, tasks in plan.steps()) // 2
 
 
 def usable_cpus() -> int:
@@ -122,7 +142,8 @@ def run_plan(
 ) -> None:
     """Transform ``buf`` in place by running the plan's steps on ``pool``.
 
-    Each chunk and each pair of runs is one task. The buffer is shared
+    Each task of ``plan.steps()`` is one pool task: ``fwht_array`` on a
+    chunk, ``butterfly`` on a pair of runs. The buffer is shared
     mutably across the tasks of a step (safe by index disjointness); a
     full barrier separates steps, and ``on_phase_complete(i)`` follows
     step i. A task failure propagates as a single exception after the
@@ -134,17 +155,10 @@ def run_plan(
             f"plan is for 2**{plan.log2_dim} elements, buffer has shape "
             f"{buf.shape}"
         )
-    size, s = 1 << plan.block_log2, plan.run_elems
-    for step, k in enumerate((None, *plan.stages)):
-        if k is None:
-            futures = [pool.submit(fwht_array, buf[c : c + size])
-                       for c in plan.chunks()]
-        else:
-            j = 1 << k
-            futures = [
-                pool.submit(butterfly, buf[lo : lo + s], buf[lo + j : lo + j + s])
-                for lo in plan.runs(k)
-            ]
+    for step, (_, length, tasks) in enumerate(plan.steps()):
+        kernel = butterfly if step else fwht_array
+        futures = [pool.submit(kernel, *(buf[r : r + length] for r in task))
+                   for task in tasks]
         # Barrier: drain the whole step, then raise its first failure.
         for exc in [fut.exception() for fut in futures]:
             if exc is not None:

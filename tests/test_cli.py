@@ -142,6 +142,16 @@ class TestGen:
         assert "sigma" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sigma_beyond_int64_refused(self, capsys, tmp_path):
+        out = tmp_path / "a.bin"
+        code, _, err = run_capture(
+            capsys, ["gen", "--n", "4", "--support", "0:16", "--noise",
+                     "rademacher", "--sigma", "1e19", "--out", str(out)]
+        )
+        assert code == 3
+        assert "overflow" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTransform:
     def test_mem_matches_ext_byte_identical(self, capsys, tmp_path):

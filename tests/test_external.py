@@ -347,6 +347,50 @@ class TestRestart:
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, reference)
 
+    @pytest.mark.parametrize("index", [0, 1, 4])
+    def test_failed_first_write_of_pass_refused(self, tmp_path, index):
+        # The executor records "writing" just before a pass's first write,
+        # so a write that fails at once already counts as begun.
+        n, b, s = 12, 8, 1 << 4
+        path, _ = make_dataset(tmp_path, n, seed=73)
+        # Pass 0 writes 2**(n-B) superblocks, a stage pass 2**n / S runs.
+        allowed = index and (1 << (n - b)) + (index - 1) * ((1 << n) // s)
+        with dataset.open_validated(path) as ds:
+            writes = {"n": 0}
+
+            def hook(op, start, count):
+                writes["n"] += op == "write"
+                if writes["n"] > allowed:
+                    raise IoFailure("injected failure of a pass's first write")
+
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure, match="first write"):
+                run_external_blocked(ds, b, io_block_elems=s)
+            ds.fault_hook = None
+            assert ds.progress_marker == {
+                "mem_log2": b, "io_block_elems": s, "passes_done": index,
+                "total_passes": n - b + 1, "writing": True}
+            with pytest.raises(BadArguments, match="writes began"):
+                run_external_blocked(ds, b, io_block_elems=s, resume=True)
+
+    @pytest.mark.parametrize("failing_read", [1, 2])
+    def test_failed_read_in_first_stage_task_resumable(self, tmp_path,
+                                                       failing_read):
+        # Either read of a stage pass's first pair comes before its first
+        # write, so the pass is still unflagged and reruns exactly.
+        n, b, s = 12, 8, 1 << 4
+        path, data = make_dataset(tmp_path, n, seed=79)
+        reference = data.copy()
+        fwht_array(reference)
+        with dataset.open_validated(path) as ds:
+            fail_after_reads(
+                ds, (1 << (n - b)) + (1 << n) // s + failing_read - 1,
+                lambda d: run_external_blocked(d, b, io_block_elems=s))
+            assert ds.progress_marker["passes_done"] == 2
+            assert ds.progress_marker["writing"] is False
+            run_external_blocked(ds, b, io_block_elems=s, resume=True)
+        assert dataset.read_signal(path)[0].tobytes() == reference.tobytes()
+
     def test_first_read_failure_leaves_no_marker(self, tmp_path):
         # Nothing was written, so there is nothing to resume: the sidecar
         # stays as it was and a plain rerun finishes the transform.
@@ -565,8 +609,9 @@ class TestThreadedPassZero:
 class TestMemoryBudget:
     """Pass 0 holds one 2**B superblock plus a tile of kernel scratch per
     worker; a stage pass holds two S-element runs plus half a tile of
-    butterfly scratch. Measured with tracemalloc at n = 20, B = 18 on two
-    CPUs, with 64 KiB of slack for small objects."""
+    butterfly scratch. Measured with tracemalloc around one pass of the
+    executor at n = 20, B = 18 on two CPUs, with 64 KiB of slack for
+    small objects."""
 
     N, B = 20, 18
     SLACK = 64 << 10
@@ -578,25 +623,26 @@ class TestMemoryBudget:
         with dataset.open_validated(path) as handle:
             yield handle
 
-    @staticmethod
-    def peak_bytes(call, *args):
+    def peak_bytes(self, ds, s, index):
+        """Peak traced bytes of running step ``index`` as one disk pass."""
+        plan = plan_external(self.N, self.B, s)
+        step = list(plan.steps())[index]
+        marker = {"passes_done": index, "writing": True}
         tracemalloc.start()
         try:
-            call(*args)
+            external._run_pass(ds, plan, step, marker)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("s", [1 << 4, 1 << 17])
     def test_pass_zero(self, ds, s):
-        plan = plan_external(self.N, self.B, s)
-        peak = self.peak_bytes(external._initial_pass, ds, plan)
+        peak = self.peak_bytes(ds, s, 0)
         assert peak <= 8 * (1 << self.B) + 2 * (512 << 10) + self.SLACK
 
     @pytest.mark.parametrize("s", [1 << 4, 1 << 17])
     def test_stage_pass(self, ds, s):
-        plan = plan_external(self.N, self.B, s)
-        peak = self.peak_bytes(external._blocked_stage_pass, ds, plan, self.B)
+        peak = self.peak_bytes(ds, s, 1)
         assert peak <= 2 * 8 * s + (256 << 10) + self.SLACK
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from bigwht import dataset
 from bigwht.core import Domain, Signal, fwht_array, fwht_inplace
-from bigwht.errors import BadArguments, BadSpec, OverflowBoundError
+from bigwht.errors import BadArguments, BadSpec, BigWHTError, OverflowBoundError
 from bigwht.noisy import (
     NoiseKind,
     NoisySignalSpec,
@@ -163,6 +163,16 @@ class TestGenOverflowBound:
             gen(spec_for(self.N, [], NoiseKind.RADEMACHER, sigma))
         _, noisy = gen(spec_for(self.N, [], NoiseKind.RADEMACHER, sigma - 1))
         assert np.all(np.abs(noisy.data) == (1 << 53) - 1)
+
+    def test_noisy_sum_cannot_wrap(self):
+        # max |clean| + sigma = 5 * 2**61 >= 2**63, though clean alone fits:
+        # the int64 sum would wrap to -6917529027641081856 unchecked.
+        with pytest.raises(OverflowBoundError):
+            gen(spec_for(0, [(0, 3 << 61)], NoiseKind.RADEMACHER, 1 << 62))
+
+    def test_sigma_beyond_int64_refused(self):
+        with pytest.raises(BigWHTError):
+            gen(spec_for(4, [(0, 16)], NoiseKind.RADEMACHER, 1e19))
 
 
 class TestGenMemory:

@@ -75,3 +75,14 @@ def test_no_unreferenced_private_helpers():
                 if counts[node.name] == own:
                     unreferenced.append(f"{filename} {node.name}")
     assert unreferenced == []
+
+
+def test_only_dataset_touches_fault_hook():
+    # DatasetFile.fault_hook exists for fault-injection tests; the engine
+    # must not read or set it, or a test hook could change its behaviour.
+    touching = []
+    for path in sorted(Path(bigwht.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "dataset.py" and "fault_hook" in _referenced_names(tree):
+            touching.append(path.name)
+    assert touching == []

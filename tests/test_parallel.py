@@ -81,6 +81,24 @@ class TestPlan:
         with pytest.raises(ValidationError):
             check_disjoint(StagePlan(log2_dim=3, block_log2=1, run_elems=4))
 
+    @pytest.mark.parametrize("n, b, s", [(1, 1, 1), (6, 3, 1), (6, 3, 4),
+                                         (10, 7, 1), (10, 7, 64), (12, 12, 8)])
+    def test_steps_listed_then_consumed(self, n, b, s):
+        # Each step's tasks keep their own stage even when all the steps
+        # are listed before any task is consumed.
+        plan = StagePlan(n, b, s)
+        one_at_a_time = [(stages, length, list(tasks))
+                         for stages, length, tasks in plan.steps()]
+        listed = list(plan.steps())
+        assert [(stages, length, list(tasks))
+                for stages, length, tasks in listed] == one_at_a_time
+        assert one_at_a_time[0] == (range(b), 1 << b,
+                                    [(c,) for c in plan.chunks()])
+        for k, (stages, length, tasks) in zip(plan.stages, one_at_a_time[1:]):
+            assert (stages, length) == (range(k, k + 1), s)
+            assert tasks == [(lo, lo + (1 << k)) for lo in plan.runs(k)]
+        assert len(one_at_a_time) == plan.q
+
     def test_work_conservation(self):
         for n in range(2, 18):
             for p in range(1, min(n, 5)):
