@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation error.
+Exit codes: 0 success, 1 usage error, 2 I/O error or out of memory,
+3 validation error, such as a dataset an interrupted transform left
+half-transformed (``DatasetFile.domain`` refuses it in every command).
 Diagnostics go to stderr; results go to stdout or to files. Every
 subcommand is deterministic under --seed wherever randomness exists, and
 --json emits the same values as the human output, wrapped in a versioned
@@ -61,32 +63,6 @@ def _adopt_if_forced(ctx, path: str, assumed_domain: str) -> None:
     n = dataset.adopt(path, "int64", assumed_domain)
     _say(ctx, f"adopted bare payload {path}: assuming n={n}, int64, "
               f"{assumed_domain} domain")
-
-
-def _open_settled(path: str) -> dataset.DatasetFile:
-    """Open a dataset, refusing one an interrupted external transform left
-    partly transformed: its payload is neither signal nor spectrum."""
-    ds = dataset.open_validated(path)
-    marker = ds.progress_marker
-    if marker is not None:
-        ds.close()
-        if marker.get("writing"):
-            hint = ("its payload is partly transformed and must be rebuilt "
-                    "from its source")
-        else:
-            hint = "finish it with 'bigwht transform ext --resume'"
-        raise BadArguments(
-            f"{path} has an interrupted external transform "
-            f"({marker.get('passes_done')}/{marker.get('total_passes')} "
-            f"passes done); {hint}"
-        )
-    return ds
-
-
-def _read_settled(path: str) -> tuple[np.ndarray, str, Domain]:
-    """Like dataset.read_signal, through _open_settled."""
-    with _open_settled(path) as ds:
-        return ds.read_block(0, ds.dim), ds.element_kind, ds.domain
 
 
 # -- gen ------------------------------------------------------------------
@@ -171,7 +147,7 @@ def transform():
 def transform_mem(ctx, in_path):
     """Transform the whole dataset in memory: the one-pass external plan."""
     _adopt_if_forced(ctx, in_path, "time")
-    with _open_settled(in_path) as ds:
+    with dataset.open_validated(in_path) as ds:
         n = ds.log2_dim
         external.run_external_blocked(ds, max(n, 1))
     payload = {"in": in_path, "n": n}
@@ -248,11 +224,11 @@ def oracle(ctx, in_path, out_path, expect_path, limit):
     if out_path is None and expect_path is None:
         raise click.UsageError("need --out and/or --expect")
     _adopt_if_forced(ctx, in_path, "time")
-    arr, kind, domain = _read_settled(in_path)
+    arr, _, _ = dataset.read_signal(in_path)
     result = wht_bruteforce(Signal(arr, Domain.TIME), limit=limit)
     matches = None
     if expect_path is not None:
-        other, _, _ = _read_settled(expect_path)
+        other, _, _ = dataset.read_signal(expect_path)
         matches = bool(np.array_equal(result.data, other))
     if out_path is not None:
         dataset.write_signal(out_path, result.data, domain="walsh")
@@ -315,7 +291,7 @@ def extract(ctx, in_path, threshold, out_path):
 def snr(ctx, in_path, sigma):
     """Signal-to-noise report for a clean signal against noise level sigma."""
     _adopt_if_forced(ctx, in_path, "time")
-    arr, kind, domain = _read_settled(in_path)
+    arr, _, domain = dataset.read_signal(in_path)
     sig = Signal(arr, domain)
     report = noisy.snr(sig, sigma)
     payload = {
@@ -500,8 +476,7 @@ def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed)
 def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
     """Fold a signal through a GF(2) linear reduction (one streaming pass)."""
     _adopt_if_forced(ctx, in_path, "time")
-    ds = _open_settled(in_path)
-    try:
+    with dataset.open_validated(in_path) as ds:
         if gen_dout is not None:
             if os.path.exists(matrix_path):
                 raise BadArguments(
@@ -511,12 +486,11 @@ def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
                 ds.log2_dim, gen_dout,
                 ctx.obj["seed"] if seed is None else seed,
             )
-            subspace.save_map(lmap, matrix_path)
         else:
             lmap = subspace.load_map(matrix_path)
         folded = subspace.fold_dataset(ds, lmap)
-    finally:
-        ds.close()
+    if gen_dout is not None:  # only now, so a refused fold leaves no file
+        subspace.save_map(lmap, matrix_path)
     dataset.write_signal(out_path, folded, domain="time")
     payload = {"in": in_path, "matrix": matrix_path, "out": out_path,
                "d_in": lmap.d_in, "d_out": lmap.d_out}
@@ -590,6 +564,9 @@ def run(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
+        return 2
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {exc}", err=True)
         return 2
 
 

@@ -4,7 +4,8 @@ A dataset is a raw little-endian array of 2**n 8-byte elements (so the
 payload stays mmap-friendly and readable by any tool) plus a JSON sidecar
 ``<path>.meta.json`` carrying log2_dim, element_kind, domain and
 format_version. The sidecar also hosts the pass-progress marker used to
-restart interrupted external transforms.
+restart interrupted external transforms; while it is present,
+``DatasetFile.domain`` raises, so every reader refuses the payload.
 
 Every block moves through one buffered path: ``_transfer`` runs preadv
 or pwritev on the payload's file descriptor until the whole block has
@@ -193,7 +194,24 @@ class DatasetFile:
 
     @property
     def domain(self) -> Domain:
-        return self._meta["domain"]
+        """The payload's domain, which every reader checks before reading.
+        Raises ``BadArguments`` while a pass-progress marker says the
+        payload is neither signal nor spectrum."""
+        marker = self._meta.get("pass_progress")
+        if marker is None:
+            return self._meta["domain"]
+        if marker.get("writing"):
+            raise BadArguments(
+                f"{self.path}: pass {marker.get('passes_done')} of an external "
+                f"transform was interrupted after its writes began, so the "
+                f"payload is partly transformed and must be rebuilt. Rebuild "
+                f"the dataset from its source.")
+        raise BadArguments(
+            f"{self.path} has an interrupted external transform "
+            f"({marker.get('passes_done')}/{marker.get('total_passes')} "
+            f"passes done); finish it with 'bigwht transform ext --resume' "
+            f"(resume=True)"
+        )
 
     @property
     def dtype(self) -> np.dtype:
@@ -433,10 +451,8 @@ def write_signal(path: str, data: np.ndarray, domain: str = "time") -> None:
 
 
 def read_signal(path: str) -> tuple[np.ndarray, str, Domain]:
-    """Load a whole dataset into memory; returns (array, element_kind, domain)."""
-    ds = open_validated(path)
-    try:
-        arr = ds.read_block(0, ds.dim)
-        return arr, ds.element_kind, ds.domain
-    finally:
-        ds.close()
+    """Load a whole dataset into memory; returns (array, element_kind, domain).
+    Checks the domain first, so an interrupted dataset is refused unread."""
+    with open_validated(path) as ds:
+        domain = ds.domain
+        return ds.read_block(0, ds.dim), ds.element_kind, domain

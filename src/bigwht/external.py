@@ -42,8 +42,9 @@ interrupted run can be restarted from the failed pass with
 yet written (it failed on a read, or the process died between passes).
 A pass killed after its writes began cannot be re-run -- butterflies are
 not idempotent -- so the executor flags that state in the sidecar just
-before the pass's first write, and resume refuses it instead of
-corrupting the data.
+before the pass's first write. ``DatasetFile.domain`` refuses a marked
+dataset, naming the rebuild once writes began and ``resume=True``
+otherwise, so this engine and every reader refuse it alike.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def run_external_blocked(
     resume: bool = False,
 ) -> ExternalRunReport:
     """Transform ``ds`` in place using paired S-element block I/O."""
-    if io_block_elems is None:
+    if io_block_elems is None and mem_log2 >= 1:  # plan_external refuses B < 1
         io_block_elems = default_io_block_elems(mem_log2)
     plan = plan_external(ds.log2_dim, mem_log2, io_block_elems)
     start = _start_pass_index(ds, plan, mem_log2, resume)
@@ -144,25 +145,14 @@ def _start_pass_index(
     ds: DatasetFile, plan: StagePlan, mem_log2: int, resume: bool
 ) -> int:
     marker = ds.progress_marker
-    if marker is None:
+    if marker is None or marker.get("writing") or not resume:
+        # With a marker, ds.domain raises: a pass that began writing can
+        # only be rebuilt, and one that did not needs resume=True.
         if ds.domain != "time":
             raise BadArguments(
                 f"{ds.path} is in the {ds.domain} domain; expected time"
             )
         return 0
-    if marker.get("writing"):
-        raise BadArguments(
-            f"{ds.path}: pass {marker.get('passes_done')} was interrupted "
-            f"after its writes began, so the payload may be partially "
-            f"transformed; re-running it would corrupt the data. Rebuild "
-            f"the dataset from its source."
-        )
-    if not resume:
-        raise BadArguments(
-            f"{ds.path} has an interrupted transform "
-            f"({marker.get('passes_done')}/{marker.get('total_passes')} "
-            f"passes done); pass resume=True to continue"
-        )
     expected = _marker_for(plan, mem_log2, marker.get("passes_done", -1))
     # Compare only the keys this code writes: markers from earlier releases
     # also carry a "mode" label, which S already determines.

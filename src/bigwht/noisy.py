@@ -49,8 +49,10 @@ class NoisySignalSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.log2_dim < 0:
-            raise BadSpec(f"log2_dim must be >= 0, got {self.log2_dim}")
+        if not 0 <= self.log2_dim < 60:
+            # At n >= 60 the 8 * 2**n bytes of one array exceed numpy's
+            # largest array, and numpy raises a bare ValueError.
+            raise BadSpec(f"log2_dim must lie in [0, 60), got {self.log2_dim}")
         dim = 1 << self.log2_dim
         if len(self.support) > dim:
             raise BadSpec("support larger than the signal dimension")

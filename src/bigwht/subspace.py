@@ -320,6 +320,8 @@ def coverage_simulate(
         raise BadDims(f"d_in={d_in} exceeds the 63 bits of an int64 index")
     if machines < 1 or trials < 1:
         raise BadArguments("machines and trials must be >= 1")
+    if sample_count is not None and sample_count < 1:
+        raise BadArguments(f"sample_count must be >= 1, got {sample_count}")
     if sample_count is None and d_in > 24:
         raise BadDims(
             f"d_in={d_in} too large to enumerate; pass sample_count to sample"

@@ -152,6 +152,21 @@ class TestGen:
         assert "overflow" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_of_memory_is_one_line_io_error(self, capsys, tmp_path,
+                                                monkeypatch):
+        # The allocation is patched: a real n in [30, 60) may be granted
+        # by an overcommitting host and then get the process OOM-killed.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        code, out, err = run_capture(
+            capsys, ["gen", "--n", "20", "--out", str(tmp_path / "a.bin")])
+        assert code == 2
+        assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTransform:
     def test_mem_matches_ext_byte_identical(self, capsys, tmp_path):
@@ -209,6 +224,16 @@ class TestTransform:
         assert domain == "time"
         assert np.array_equal(arr, data)
 
+    def test_ext_budget_below_one_refused(self, capsys, tmp_path):
+        # Without --io-block-bytes, S defaults from B: B = 0 must be
+        # refused before that default is worked out.
+        path = str(tmp_path / "sig.bin")
+        dataset.write_signal(path, np.zeros(16, dtype=np.int64))
+        code, _, err = run_capture(
+            capsys, ["transform", "ext", "--in", path, "-b", "0"])
+        assert code == 3
+        assert "mem_log2" in err
+
     def test_double_transform_refused(self, capsys, tmp_path):
         path = str(tmp_path / "sig.bin")
         dataset.write_signal(path, np.zeros(16, dtype=np.int64))
@@ -252,6 +277,7 @@ class TestInterruptedDataset:
         ["snr", "--in", "{in}", "--sigma", "1"],
         ["fold", "--in", "{in}", "--matrix", "{tmp}/m.txt", "--out",
          "{tmp}/f.bin", "--gen-dout", "4"],
+        ["extract", "--in", "{in}", "--threshold", "1"],
     ])
     def test_refused(self, capsys, tmp_path, interrupted, argv):
         path, _ = interrupted
@@ -268,6 +294,7 @@ class TestInterruptedDataset:
         assert Path(dataset.sidecar_path(path)).read_text() == sidecar
         assert not (tmp_path / "o.bin").exists()
         assert not (tmp_path / "f.bin").exists()
+        assert not (tmp_path / "m.txt").exists()
 
     def test_resume_finishes(self, capsys, interrupted):
         path, data = interrupted
@@ -596,6 +623,15 @@ class TestFoldAndCoverage:
         assert doc["mean"] == pytest.approx(
             sum(doc["per_trial"]) / 3, rel=1e-12
         )
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_coverage_sample_count_below_one_refused(self, capsys, count):
+        code, out, err = run_capture(
+            capsys, ["coverage", "--din", "30", "--dout", "2", "--machines",
+                     "2", "--sample-count", count])
+        assert code == 3
+        assert "sample_count" in err
+        assert out == ""
 
     @pytest.mark.parametrize("din, code", [(64, 3), (63, 0)])
     def test_coverage_index_width(self, capsys, din, code):

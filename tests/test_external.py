@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bigwht import dataset, external
+from bigwht import dataset, external, subspace
 from bigwht.core import fwht_array
 from bigwht.errors import BadArguments, BadBlockSize, IoFailure, OverflowBoundError
 from bigwht.external import (
@@ -21,6 +21,7 @@ from bigwht.external import (
     run_external_blocked,
     run_external_entrywise,
 )
+from bigwht.noisy import extract_above_dataset
 from bigwht.parallel import check_disjoint, total_butterflies
 
 from conftest import set_cpus
@@ -201,6 +202,15 @@ class TestBlocked:
         assert external.default_io_block_elems(30) == 1 << 24  # 128 MB
         assert external.default_io_block_elems(10) == 1 << 9
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_budget_below_one_refused_before_default_block(self, tmp_path, b):
+        # The default S is 2**(B-1): B must be refused before it is worked
+        # out, or B = 0 dies on a negative shift.
+        path, _ = make_dataset(tmp_path, 4)
+        with dataset.open_validated(path) as ds:
+            with pytest.raises(BadArguments, match="mem_log2"):
+                run_external_blocked(ds, b)
+
 
 class TestModesAgree:
     def test_both_modes_byte_identical(self, tmp_path):
@@ -282,7 +292,8 @@ class TestRestart:
             marker = ds.progress_marker
             assert marker is not None
             assert marker["passes_done"] == 4  # passes 0..3 done
-            assert ds.domain == "time"
+            with pytest.raises(BadArguments, match="--resume"):
+                ds.domain
 
         # Without resume the partial run is refused.
         with dataset.open_validated(path) as ds:
@@ -456,6 +467,70 @@ class TestRestart:
             run_external_entrywise(ds, b, resume=True)
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, reference)
+
+
+class TestInterruptedReaders:
+    """A dataset left between passes is neither signal nor spectrum:
+    ``DatasetFile.domain`` refuses it, so every library reader does."""
+
+    @pytest.fixture(params=[False, True], ids=["between-passes", "writing"])
+    def interrupted(self, request, tmp_path):
+        # Killed in pass 1 of n = 12, B = 8, S = 16: on the pass's first
+        # read, or on its first write once the "writing" flag is set.
+        n, b, s = 12, 8, 1 << 4
+        path, _ = make_dataset(tmp_path, n, seed=83)
+        op = "write" if request.param else "read"
+        with dataset.open_validated(path) as ds:
+            count = {"n": 0}
+
+            def hook(hook_op, start, elems):
+                count["n"] += hook_op == op
+                if count["n"] > 1 << (n - b):  # pass 0's superblocks
+                    raise IoFailure("injected kill")
+
+            ds.fault_hook = hook
+            with pytest.raises(IoFailure):
+                run_external_blocked(ds, b, io_block_elems=s)
+            ds.fault_hook = None
+            assert ds.progress_marker["passes_done"] == 1
+            assert ds.progress_marker["writing"] is request.param
+        hint = "Rebuild" if request.param else "--resume"
+        return path, hint
+
+    @pytest.mark.parametrize("reader", [
+        lambda ds: subspace.fold_dataset(
+            ds, subspace.random_full_rank(12, 4, 0)),
+        lambda ds: extract_above_dataset(ds, 1),
+    ], ids=["fold_dataset", "extract_above_dataset"])
+    def test_streaming_readers_refuse(self, interrupted, reader):
+        path, hint = interrupted
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        with dataset.open_validated(path) as ds:
+            with pytest.raises(BadArguments, match=hint):
+                reader(ds)
+            assert ds.stats.reads == 0
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
+
+    def test_read_signal_refuses_before_reading(self, interrupted,
+                                                monkeypatch):
+        path, hint = interrupted
+        payload = Path(path).read_bytes()
+        sidecar = Path(dataset.sidecar_path(path)).read_text()
+        reads = []
+        real_preadv = os.preadv
+
+        def preadv(*args):
+            reads.append(args[2])
+            return real_preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        with pytest.raises(BadArguments, match=hint):
+            dataset.read_signal(path)
+        assert reads == []
+        assert Path(path).read_bytes() == payload
+        assert Path(dataset.sidecar_path(path)).read_text() == sidecar
 
 
 def fail_after_reads(ds, allowed, transform):

@@ -100,6 +100,13 @@ class TestGen:
         with pytest.raises(BadSpec):
             gen(spec_for(3, [], sigma=-1.0))
 
+    @pytest.mark.parametrize("n", [60, 62])
+    def test_size_beyond_numpy_refused(self, n):
+        # 8 * 2**n bytes exceeds numpy's largest array from n = 60 on;
+        # validate refuses before anything is allocated.
+        with pytest.raises(BadSpec, match="log2_dim"):
+            gen(spec_for(n, []))
+
 
 GOLDEN_N = 12
 EXACT_SUPPORT = ((0, 5 << GOLDEN_N), (77, -(3 << GOLDEN_N)),

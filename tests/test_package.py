@@ -86,3 +86,20 @@ def test_only_dataset_touches_fault_hook():
         if path.name != "dataset.py" and "fault_hook" in _referenced_names(tree):
             touching.append(path.name)
     assert touching == []
+
+
+def test_only_dataset_and_engine_touch_pass_progress():
+    # An interrupted transform's marker is written by the engine and
+    # judged by DatasetFile.domain alone; a module that read it could grow
+    # a refusal path of its own again.
+    marker_names = {"progress_marker", "set_progress_marker", "pass_progress"}
+    touching = []
+    for path in sorted(Path(bigwht.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set(_referenced_names(tree)) | {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        if names & marker_names and path.name not in ("dataset.py",
+                                                      "external.py"):
+            touching.append(path.name)
+    assert touching == []

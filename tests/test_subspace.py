@@ -357,6 +357,12 @@ class TestCoverage:
         with pytest.raises(BadArguments):
             coverage_simulate(8, 4, machines=0, trials=1)
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_sample_count_below_one_refused(self, count):
+        # No samples gave NaN coverage; a negative count, numpy's error.
+        with pytest.raises(BadArguments, match="sample_count"):
+            coverage_simulate(30, 2, 2, 1, sample_count=count)
+
 
 class TestMapFiles:
     def test_save_load_round_trip(self, tmp_path):
