@@ -4,6 +4,7 @@ generate/transform/extract pipeline."""
 import errno
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -665,3 +666,143 @@ class TestEndToEnd:
             idx, val = line.split(",")
             got[int(idx)] = int(val)
         assert got == support
+
+
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestPinnedOutput:
+    """The exact JSON document and text of each command, in both modes, so
+    a change to how the CLI reports cannot change what it prints."""
+
+    @pytest.fixture
+    def signals(self, tmp_path):
+        paths = [str(tmp_path / f"{name}.bin") for name in "abc"]
+        for path in paths:
+            dataset.write_signal(path, np.arange(64, dtype=np.int64))
+        return paths
+
+    def test_transform_mem(self, capsys, signals):
+        a, b, _ = signals
+        code, out, err = run_capture(
+            capsys, ["--json", "transform", "mem", "--in", a])
+        assert (code, err) == (0, "")
+        assert out == _json_text({"schema_version": 1,
+                                  "command": "transform mem",
+                                  "in": a, "n": 6})
+        assert run_capture(capsys, ["transform", "mem", "--in", b]) \
+            == (0, "", f"transformed {b} in memory\n")
+
+    def test_transform_ext(self, capsys, signals):
+        a, b, c = signals
+        code, out, err = run_capture(
+            capsys, ["--json", "transform", "ext", "--in", a,
+                     "--mem-log2", "4"])
+        assert (code, err) == (0, "")
+        assert out == _json_text({
+            "schema_version": 1, "command": "transform ext", "in": a,
+            "n": 6, "mem_log2": 4, "mode": "blocked", "io_block_elems": 8,
+            "passes": 3, "passes_executed": 3, "resumed_from": 0})
+        assert run_capture(capsys, ["transform", "ext", "--in", b,
+                                    "--mem-log2", "4"]) \
+            == (0, "", f"transformed {b} out of core: q=3 passes "
+                       f"(3 executed this run)\n")
+        assert run_capture(capsys, ["--quiet", "transform", "ext", "--in", c,
+                                    "--mem-log2", "4"]) \
+            == (0, "", "")
+
+    def test_oracle(self, capsys, signals, tmp_path):
+        a, b, _ = signals
+        assert run(["transform", "mem", "--in", b]) == 0
+        capsys.readouterr()
+        out_path = str(tmp_path / "o.bin")
+        code, out, err = run_capture(
+            capsys, ["--json", "oracle", "--in", a, "--out", out_path,
+                     "--expect", b])
+        assert (code, err) == (0, "")
+        assert out == _json_text({"schema_version": 1, "command": "oracle",
+                                  "in": a, "out": out_path, "expect": b,
+                                  "matches": True})
+        assert run_capture(capsys, ["oracle", "--in", a, "--expect", b]) \
+            == (0, "match\n", "")
+        assert run_capture(capsys, ["oracle", "--in", a, "--out",
+                                    str(tmp_path / "o2.bin")]) == (0, "", "")
+        assert run_capture(capsys, ["oracle", "--in", a, "--expect", a]) \
+            == (3, "MISMATCH\n", "")
+
+    def test_fold(self, capsys, signals, tmp_path):
+        from bigwht.subspace import random_full_rank, save_map
+        a, _, _ = signals
+        matrix = str(tmp_path / "map.txt")
+        save_map(random_full_rank(6, 3, seed=4), matrix)
+        f1, f2 = str(tmp_path / "f1.bin"), str(tmp_path / "f2.bin")
+        code, out, err = run_capture(
+            capsys, ["--json", "fold", "--in", a, "--matrix", matrix,
+                     "--out", f1])
+        assert (code, err) == (0, "")
+        assert out == _json_text({"schema_version": 1, "command": "fold",
+                                  "in": a, "matrix": matrix, "out": f1,
+                                  "d_in": 6, "d_out": 3})
+        assert run_capture(capsys, ["fold", "--in", a, "--matrix", matrix,
+                                    "--out", f2]) \
+            == (0, "", f"folded {a} (6 -> 3 bits) into {f2}\n")
+
+    def test_plan_table(self, capsys):
+        hours = {32: (0.6066666666666667, 0.4661111111111111),
+                 33: (1.4944444444444445, 1.2133333333333334),
+                 34: (3.551111111111111, 2.988888888888889),
+                 35: (8.226666666666667, 7.102222222222222),
+                 36: (18.702222222222222, 16.453333333333333),
+                 37: (41.90222222222222, 37.404444444444444),
+                 38: (92.8, 83.80444444444444),
+                 39: (203.5911111111111, 185.6),
+                 40: (443.1644444444444, 407.1822222222222)}
+        code, out, err = run_capture(capsys, ["--json", "plan", "--table"])
+        assert (code, err) == (0, "")
+        assert out == _json_text({
+            "schema_version": 1, "command": "plan",
+            "table": [{"n": n, "hours": {"29": h29, "30": h30}}
+                      for n, (h29, h30) in hours.items()]})
+        assert run_capture(capsys, ["plan", "--table"]) == (0, (
+            "   n  B=29 (h)  B=30 (h)\n"
+            "  32     0.61     0.47\n"
+            "  33     1.49     1.21\n"
+            "  34     3.55     2.99\n"
+            "  35     8.23     7.10\n"
+            "  36    18.70    16.45\n"
+            "  37    41.90    37.40\n"
+            "  38    92.80    83.80\n"
+            "  39   203.59   185.60\n"
+            "  40   443.16   407.18\n"), "")
+
+    def test_iobench(self, capsys, tmp_path):
+        argv = ["iobench", "--dir", str(tmp_path), "--file-gb", "0.0001",
+                "--blocks", "4K,16K", "--no-raw"]
+        code, out, err = run_capture(capsys, ["--json"] + argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert out == _json_text(doc)
+        assert re.fullmatch(r"(copy time decreased from|no copy-time "
+                            r"improvement from larger blocks).*",
+                            doc.pop("annotation"))
+        rows = doc.pop("rows")
+        assert doc == {"schema_version": 1, "command": "iobench",
+                       "file_bytes": 107374, "direct_io": False}
+        for row, (block, transfers) in zip(rows, [(4096, 27), (16384, 7)],
+                                           strict=True):
+            assert row.pop("seconds") > 0 and row.pop("mbps") > 0
+            assert row == {"block_bytes": block, "transfers": transfers,
+                           "read_mbps": None, "write_mbps": None,
+                           "warnings": [], "error": None}
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines(keepends=True)
+        assert lines[:2] == [
+            "file size: 107374 bytes, direct I/O off\n",
+            "       block     copy s  copy MB/s  read MB/s write MB/s\n"]
+        for line, block in zip(lines[2:4], (4096, 16384), strict=True):
+            assert re.fullmatch(rf" +{block} +\d+\.\d{{3}} +\d+\.\d{{2}} +- +-\n",
+                                line)
+        assert len(lines) == 5 and lines[4].startswith(("copy time", "no copy"))
+        assert not list(tmp_path.iterdir())
