@@ -4,14 +4,20 @@ Exit codes: 0 success, 1 usage error, 2 I/O error or out of memory,
 3 validation error, such as a dataset an interrupted transform left
 half-transformed (``DatasetFile.domain`` refuses it in every command).
 Diagnostics go to stderr; results go to stdout or to files. Every
-subcommand is deterministic under --seed wherever randomness exists, and
---json emits the same values as the human output, wrapped in a versioned
-schema.
+subcommand that uses randomness takes its own --seed (default 0) and is
+deterministic under it. --json emits the same values as the human output,
+wrapped in a versioned schema; JSON has no Infinity or NaN literal, so a
+non-finite float is written as its string ("inf", "-inf", "nan").
+
+Each command checks its output paths before it computes anything, so a
+refused output leaves no file behind, then hands one payload to
+``_report``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -27,10 +33,15 @@ from .noisy import NoiseKind, NoisySignalSpec
 JSON_SCHEMA_VERSION = 1
 
 
-def _emit_json(ctx, command: str, payload: dict) -> None:
-    doc = {"schema_version": JSON_SCHEMA_VERSION, "command": command}
-    doc.update(payload)
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by its string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
 
 
 def _say(ctx, message: str) -> None:
@@ -39,10 +50,24 @@ def _say(ctx, message: str) -> None:
         click.echo(message, err=True)
 
 
+def _report(ctx, command: str, payload: dict, text: str | None = None,
+            note: str | None = None) -> None:
+    """Print a command's result. With --json, the versioned document
+    holding ``payload`` goes to stdout. Otherwise ``text`` goes to stdout
+    as it is and ``note`` to stderr through ``_say``."""
+    if ctx.obj["json"]:
+        doc = {"schema_version": JSON_SCHEMA_VERSION, "command": command,
+               **payload}
+        click.echo(json.dumps(_json_safe(doc), indent=2, sort_keys=True))
+        return
+    if text is not None:
+        click.echo(text, nl=False)
+    if note is not None:
+        _say(ctx, note)
+
+
 @click.group(name="bigwht")
 @click.version_option(version=__version__)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Default seed for subcommands that use randomness.")
 @click.option("--quiet", is_flag=True, help="Suppress progress diagnostics.")
 @click.option("--json", "json_output", is_flag=True,
               help="Emit machine-readable JSON instead of human text.")
@@ -50,10 +75,9 @@ def _say(ctx, message: str) -> None:
               help="Adopt bare payloads missing a sidecar, inferring n from "
                    "the file size (assumes int64 elements).")
 @click.pass_context
-def cli(ctx, seed, quiet, json_output, force):
+def cli(ctx, quiet, json_output, force):
     """Exact Walsh-Hadamard transforms, in memory or out of core."""
-    ctx.obj = {"seed": seed, "quiet": quiet, "json": json_output,
-               "force": force}
+    ctx.obj = {"quiet": quiet, "json": json_output, "force": force}
 
 
 def _adopt_if_forced(ctx, path: str, assumed_domain: str) -> None:
@@ -95,8 +119,8 @@ def _parse_support(text: str) -> tuple[tuple[int, float], ...]:
               default="none", show_default=True)
 @click.option("--sigma", type=float, default=0.0, show_default=True,
               help="Per-sample noise standard deviation.")
-@click.option("--seed", type=int, default=None,
-              help="Noise seed (defaults to the global --seed).")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Noise seed.")
 @click.option("--out", "out_path", required=True,
               help="Output dataset path (the noisy signal).")
 @click.option("--clean-out", "clean_path", default=None,
@@ -104,18 +128,23 @@ def _parse_support(text: str) -> tuple[tuple[int, float], ...]:
 @click.pass_context
 def gen(ctx, log2_dim, support, noise_kind, sigma, seed, out_path, clean_path):
     """Generate a sparse time-domain signal with planted Walsh coefficients."""
+    if clean_path and os.path.realpath(clean_path) == os.path.realpath(out_path):
+        raise click.UsageError("--out and --clean-out name the same file")
     spec = NoisySignalSpec(
         log2_dim=log2_dim,
         support=_parse_support(support),
         noise_kind=NoiseKind(noise_kind),
         sigma=sigma,
-        seed=ctx.obj["seed"] if seed is None else seed,
+        seed=seed,
     )
+    for path in (out_path, clean_path):
+        if path:
+            dataset.refuse_existing(path)
     clean, noisy_sig = noisy.gen(spec)
     dataset.write_signal(out_path, noisy_sig.data, domain="time")
     if clean_path:
         dataset.write_signal(clean_path, clean.data, domain="time")
-    payload = {
+    _report(ctx, "gen", {
         "n": log2_dim,
         "support_size": len(spec.support),
         "noise": noise_kind,
@@ -124,13 +153,8 @@ def gen(ctx, log2_dim, support, noise_kind, sigma, seed, out_path, clean_path):
         "out": out_path,
         "clean_out": clean_path,
         "element_kind": "int64" if noisy_sig.is_exact else "float64",
-    }
-    if ctx.obj["json"]:
-        _emit_json(ctx, "gen", payload)
-    else:
-        _say(ctx, f"wrote {out_path}: n={log2_dim}, "
-                  f"{len(spec.support)} planted coefficients, "
-                  f"{noise_kind} noise sigma={sigma}")
+    }, note=f"wrote {out_path}: n={log2_dim}, {len(spec.support)} planted "
+            f"coefficients, {noise_kind} noise sigma={sigma}")
 
 
 # -- transform --------------------------------------------------------------
@@ -150,11 +174,8 @@ def transform_mem(ctx, in_path):
     with dataset.open_validated(in_path) as ds:
         n = ds.log2_dim
         external.run_external_blocked(ds, max(n, 1))
-    payload = {"in": in_path, "n": n}
-    if ctx.obj["json"]:
-        _emit_json(ctx, "transform mem", payload)
-    else:
-        _say(ctx, f"transformed {in_path} in memory")
+    _report(ctx, "transform mem", {"in": in_path, "n": n},
+            note=f"transformed {in_path} in memory")
 
 
 @transform.command("ext")
@@ -183,14 +204,11 @@ def transform_ext(ctx, in_path, mem_log2, mode, io_block_bytes, resume):
             raise BadArguments("--io-block-bytes must be a multiple of 8")
         elems = io_block_bytes // dataset.ELEMENT_BYTES
     _adopt_if_forced(ctx, in_path, "time")
-    ds = dataset.open_validated(in_path)
-    try:
+    with dataset.open_validated(in_path) as ds:
         report = external.run_external_blocked(
             ds, mem_log2, io_block_elems=elems, resume=resume
         )
-    finally:
-        ds.close()
-    payload = {
+    _report(ctx, "transform ext", {
         "in": in_path,
         "n": report.plan.log2_dim,
         "mem_log2": mem_log2,
@@ -199,12 +217,8 @@ def transform_ext(ctx, in_path, mem_log2, mode, io_block_bytes, resume):
         "passes": report.plan.q,
         "passes_executed": len(report.passes_executed),
         "resumed_from": report.resumed_from,
-    }
-    if ctx.obj["json"]:
-        _emit_json(ctx, "transform ext", payload)
-    else:
-        _say(ctx, f"transformed {in_path} out of core: q={report.plan.q} "
-                  f"passes ({len(report.passes_executed)} executed this run)")
+    }, note=f"transformed {in_path} out of core: q={report.plan.q} passes "
+            f"({len(report.passes_executed)} executed this run)")
 
 
 # -- oracle -----------------------------------------------------------------
@@ -223,8 +237,12 @@ def oracle(ctx, in_path, out_path, expect_path, limit):
     """Brute-force reference transform (O(4**n); verification only)."""
     if out_path is None and expect_path is None:
         raise click.UsageError("need --out and/or --expect")
+    if out_path is not None:
+        dataset.refuse_existing(out_path)
     _adopt_if_forced(ctx, in_path, "time")
-    arr, _, _ = dataset.read_signal(in_path)
+    arr, _, domain = dataset.read_signal(in_path)
+    if domain != Domain.TIME:
+        raise BadArguments(f"{in_path} is in the {domain} domain; expected time")
     result = wht_bruteforce(Signal(arr, Domain.TIME), limit=limit)
     matches = None
     if expect_path is not None:
@@ -232,12 +250,10 @@ def oracle(ctx, in_path, out_path, expect_path, limit):
         matches = bool(np.array_equal(result.data, other))
     if out_path is not None:
         dataset.write_signal(out_path, result.data, domain="walsh")
-    payload = {"in": in_path, "out": out_path, "expect": expect_path,
-               "matches": matches}
-    if ctx.obj["json"]:
-        _emit_json(ctx, "oracle", payload)
-    elif matches is not None:
-        click.echo("match" if matches else "MISMATCH")
+    _report(ctx, "oracle", {"in": in_path, "out": out_path,
+                            "expect": expect_path, "matches": matches},
+            text=None if matches is None else
+            ("match\n" if matches else "MISMATCH\n"))
     if matches is False:
         sys.exit(3)
 
@@ -255,28 +271,20 @@ def oracle(ctx, in_path, out_path, expect_path, limit):
 def extract(ctx, in_path, threshold, out_path):
     """List Walsh coefficients above a threshold as CSV (index,coefficient)."""
     _adopt_if_forced(ctx, in_path, "walsh")
-    ds = dataset.open_validated(in_path)
-    try:
+    with dataset.open_validated(in_path) as ds:
         hits = noisy.extract_above_dataset(ds, threshold)
-    finally:
-        ds.close()
-    if ctx.obj["json"]:
-        _emit_json(ctx, "extract", {
-            "in": in_path,
-            "threshold": threshold,
-            "count": len(hits),
-            "coefficients": [{"index": i, "coefficient": v} for i, v in hits],
-        })
-        return
-    lines = ["index,coefficient"]
-    lines += [f"{i},{v}" for i, v in hits]
-    text = "\n".join(lines) + "\n"
+    text = "".join(["index,coefficient\n"] + [f"{i},{v}\n" for i, v in hits])
+    note = None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.write(text)
-        _say(ctx, f"wrote {len(hits)} coefficients to {out_path}")
-    else:
-        click.echo(text, nl=False)
+        text, note = None, f"wrote {len(hits)} coefficients to {out_path}"
+    _report(ctx, "extract", {
+        "in": in_path,
+        "threshold": threshold,
+        "count": len(hits),
+        "coefficients": [{"index": i, "coefficient": v} for i, v in hits],
+    }, text=text, note=note)
 
 
 # -- snr ----------------------------------------------------------------------
@@ -294,7 +302,8 @@ def snr(ctx, in_path, sigma):
     arr, _, domain = dataset.read_signal(in_path)
     sig = Signal(arr, domain)
     report = noisy.snr(sig, sigma)
-    payload = {
+    db = "inf" if report.infinite else f"{report.snr_db:.4f}"
+    _report(ctx, "snr", {
         "in": in_path,
         "n": sig.log2_dim,
         "sigma": sigma,
@@ -305,21 +314,11 @@ def snr(ctx, in_path, sigma):
         "significance_threshold_db": report.significance_threshold_db,
         "significance_threshold_db_base2": report.significance_threshold_db_base2,
         "infinite": report.infinite,
-    }
-    if ctx.obj["json"]:
-        # JSON has no Infinity literal; encode as strings when degenerate.
-        for key in ("snr_linear", "snr_db"):
-            if payload[key] in (float("inf"), float("-inf")):
-                payload[key] = str(payload[key])
-        _emit_json(ctx, "snr", payload)
-        return
-    db = "inf" if report.infinite else f"{report.snr_db:.4f}"
-    click.echo(
-        f"n={sig.log2_dim} energy={report.signal_energy:.6g} "
-        f"sigma={sigma} snr={report.snr_linear:.6g} ({db} dB)\n"
-        f"significance threshold: {report.significance_threshold_db:.4f} dB "
-        f"(natural log) / {report.significance_threshold_db_base2:.4f} dB (log2)"
-    )
+    }, text=f"n={sig.log2_dim} energy={report.signal_energy:.6g} "
+            f"sigma={sigma} snr={report.snr_linear:.6g} ({db} dB)\n"
+            f"significance threshold: {report.significance_threshold_db:.4f} "
+            f"dB (natural log) / "
+            f"{report.significance_threshold_db_base2:.4f} dB (log2)\n")
 
 
 # -- plan ---------------------------------------------------------------------
@@ -359,36 +358,23 @@ def plan(ctx, log2_dim, mem_log2, tcp, tcp_n, tcpu_ref, tcpu_n, io_overhead,
         speed_factor=speed_factor,
     )
     if table:
-        if ctx.obj["json"]:
-            rows = [
-                {
-                    "n": n,
-                    "hours": {
-                        str(b): perfmodel.estimate(params, n, b).total_hours
-                        for b in (29, 30)
-                    },
-                }
-                for n in range(32, 41)
-            ]
-            _emit_json(ctx, "plan", {"table": rows})
-        else:
-            click.echo(perfmodel.format_table(params), nl=False)
+        rows = [{"n": n, "hours": hours}
+                for n, hours in perfmodel.table_hours(params).items()]
+        _report(ctx, "plan", {"table": rows},
+                text=perfmodel.format_table(params))
         return
     if log2_dim is None or mem_log2 is None:
         raise click.UsageError("need --n and --b (or --table)")
     est = perfmodel.estimate(params, log2_dim, mem_log2)
-    if ctx.obj["json"]:
-        _emit_json(ctx, "plan", {
-            "n": est.log2_dim,
-            "b": est.mem_log2,
-            "q": est.q,
-            "t_cpu_seconds": est.t_cpu_seconds,
-            "t_io_seconds": est.t_io_seconds,
-            "total_seconds": est.total_seconds,
-            "total_hours": est.total_hours,
-        })
-    else:
-        click.echo(perfmodel.format_estimate(est))
+    _report(ctx, "plan", {
+        "n": est.log2_dim,
+        "b": est.mem_log2,
+        "q": est.q,
+        "t_cpu_seconds": est.t_cpu_seconds,
+        "t_io_seconds": est.t_io_seconds,
+        "total_seconds": est.total_seconds,
+        "total_hours": est.total_hours,
+    }, text=perfmodel.format_estimate(est) + "\n")
 
 
 # -- iobench --------------------------------------------------------------------
@@ -407,14 +393,15 @@ def _parse_size(text: str) -> int:
               help="Scratch directory (needs 2x the file size free).")
 @click.option("--file-gb", type=float, default=1.0, show_default=True,
               help="Size of the file to copy, in GiB.")
-@click.option("--blocks", default="2M,8M,32M,128M,512M,1G", show_default=True,
+@click.option("--blocks", show_default=True,
+              default=",".join(f"{b >> 20}M" for b in iobench.DEFAULT_BLOCK_SIZES),
               help="Comma-separated block sizes (K/M/G suffixes).")
 @click.option("--direct", is_flag=True, help="Use direct (cache-bypassing) I/O.")
 @click.option("--csv", "csv_path", default=None, help="Also write CSV here.")
 @click.option("--no-raw", is_flag=True,
               help="Skip the separate raw read/write measurements.")
-@click.option("--seed", type=int, default=None,
-              help="Content seed (defaults to the global --seed).")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Content seed.")
 @click.pass_context
 def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed):
     """Measure copy time vs block size on the local disk."""
@@ -430,33 +417,30 @@ def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed)
         file_bytes,
         sizes,
         direct_io=direct,
-        seed=ctx.obj["seed"] if seed is None else seed,
+        seed=seed,
         measure_raw=not no_raw,
     )
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as f:
             f.write(report.to_csv())
-    if ctx.obj["json"]:
-        _emit_json(ctx, "iobench", {
-            "file_bytes": report.file_bytes,
-            "direct_io": report.direct_io,
-            "annotation": report.annotation,
-            "rows": [
-                {
-                    "block_bytes": r.block_bytes,
-                    "seconds": r.copy_seconds,
-                    "mbps": r.copy_mbps,
-                    "read_mbps": r.read_mbps,
-                    "write_mbps": r.write_mbps,
-                    "transfers": r.transfers,
-                    "warnings": r.warnings,
-                    "error": r.error,
-                }
-                for r in report.rows
-            ],
-        })
-    else:
-        click.echo(report.format_table(), nl=False)
+    _report(ctx, "iobench", {
+        "file_bytes": report.file_bytes,
+        "direct_io": report.direct_io,
+        "annotation": report.annotation,
+        "rows": [
+            {
+                "block_bytes": r.block_bytes,
+                "seconds": r.copy_seconds,
+                "mbps": r.copy_mbps,
+                "read_mbps": r.read_mbps,
+                "write_mbps": r.write_mbps,
+                "transfers": r.transfers,
+                "warnings": r.warnings,
+                "error": r.error,
+            }
+            for r in report.rows
+        ],
+    }, text=report.format_table())
 
 
 # -- fold -------------------------------------------------------------------------
@@ -470,35 +454,31 @@ def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed)
 @click.option("--gen-dout", type=int, default=None,
               help="Generate a random full-rank matrix of this many rows at "
                    "--matrix first (file must not exist).")
-@click.option("--seed", type=int, default=None,
-              help="Matrix seed (defaults to the global --seed).")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Matrix seed.")
 @click.pass_context
 def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
     """Fold a signal through a GF(2) linear reduction (one streaming pass)."""
+    if os.path.realpath(matrix_path) == os.path.realpath(out_path):
+        raise click.UsageError("--matrix and --out name the same file")
+    dataset.refuse_existing(out_path)
+    if gen_dout is not None and os.path.exists(matrix_path):
+        raise BadArguments(f"--gen-dout refuses to overwrite {matrix_path}")
     _adopt_if_forced(ctx, in_path, "time")
     with dataset.open_validated(in_path) as ds:
         if gen_dout is not None:
-            if os.path.exists(matrix_path):
-                raise BadArguments(
-                    f"--gen-dout refuses to overwrite {matrix_path}"
-                )
-            lmap = subspace.random_full_rank(
-                ds.log2_dim, gen_dout,
-                ctx.obj["seed"] if seed is None else seed,
-            )
+            lmap = subspace.random_full_rank(ds.log2_dim, gen_dout, seed)
         else:
             lmap = subspace.load_map(matrix_path)
         folded = subspace.fold_dataset(ds, lmap)
     if gen_dout is not None:  # only now, so a refused fold leaves no file
         subspace.save_map(lmap, matrix_path)
     dataset.write_signal(out_path, folded, domain="time")
-    payload = {"in": in_path, "matrix": matrix_path, "out": out_path,
-               "d_in": lmap.d_in, "d_out": lmap.d_out}
-    if ctx.obj["json"]:
-        _emit_json(ctx, "fold", payload)
-    else:
-        _say(ctx, f"folded {in_path} ({lmap.d_in} -> {lmap.d_out} bits) "
-                  f"into {out_path}")
+    _report(ctx, "fold", {"in": in_path, "matrix": matrix_path,
+                          "out": out_path, "d_in": lmap.d_in,
+                          "d_out": lmap.d_out},
+            note=f"folded {in_path} ({lmap.d_in} -> {lmap.d_out} bits) "
+                 f"into {out_path}")
 
 
 # -- coverage -----------------------------------------------------------------------
@@ -510,8 +490,8 @@ def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
 @click.option("--machines", type=int, required=True,
               help="Independent subspaces per trial.")
 @click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=None,
-              help="Simulation seed (defaults to the global --seed).")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Simulation seed.")
 @click.option("--sample-count", type=int, default=None,
               help="Sample this many indices instead of enumerating "
                    "(required above d_in = 24).")
@@ -519,26 +499,20 @@ def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
 def coverage(ctx, din, dout, machines, trials, seed, sample_count):
     """Simulate fleet coverage of Walsh coefficient indices; CSV per trial."""
     result = subspace.coverage_simulate(
-        din, dout, machines, trials,
-        seed=ctx.obj["seed"] if seed is None else seed,
-        sample_count=sample_count,
+        din, dout, machines, trials, seed=seed, sample_count=sample_count,
     )
-    if ctx.obj["json"]:
-        _emit_json(ctx, "coverage", {
-            "d_in": result.d_in,
-            "d_out": result.d_out,
-            "machines": result.machines,
-            "trials": result.trials,
-            "per_trial": result.per_trial,
-            "mean": result.mean,
-            "model_prediction": result.model_prediction,
-        })
-        return
-    lines = ["trial,coverage"]
-    lines += [f"{t},{c:.6f}" for t, c in enumerate(result.per_trial)]
-    click.echo("\n".join(lines))
-    _say(ctx, f"mean coverage {result.mean:.4f} "
-              f"(model predicts {result.model_prediction:.4f})")
+    _report(ctx, "coverage", {
+        "d_in": result.d_in,
+        "d_out": result.d_out,
+        "machines": result.machines,
+        "trials": result.trials,
+        "per_trial": result.per_trial,
+        "mean": result.mean,
+        "model_prediction": result.model_prediction,
+    }, text="".join(["trial,coverage\n"] + [
+        f"{t},{c:.6f}\n" for t, c in enumerate(result.per_trial)]),
+        note=f"mean coverage {result.mean:.4f} "
+             f"(model predicts {result.model_prediction:.4f})")
 
 
 # -- entry point -----------------------------------------------------------------

@@ -359,6 +359,14 @@ class DatasetFile:
         self.close()
 
 
+def refuse_existing(path: str) -> None:
+    """Raise ``PathExists`` if a dataset at ``path`` would overwrite its
+    payload or sidecar. ``create`` checks this; a command calls it first,
+    so a refused output costs no work and leaves no other file behind."""
+    if os.path.exists(path) or os.path.exists(sidecar_path(path)):
+        raise PathExists(f"{path} (or its sidecar) already exists")
+
+
 def create(
     path: str,
     log2_dim: int,
@@ -371,8 +379,7 @@ def create(
     if element_kind not in _DTYPES:
         raise BadArguments(f"bad element_kind {element_kind!r}")
     domain = Domain(domain)
-    if os.path.exists(path) or os.path.exists(sidecar_path(path)):
-        raise PathExists(f"{path} (or its sidecar) already exists")
+    refuse_existing(path)
     size = ELEMENT_BYTES << log2_dim
     parent = os.path.dirname(os.path.abspath(path)) or "."
     if shutil.disk_usage(parent).free < size:

@@ -34,6 +34,10 @@ OBSERVED_IO_OVERHEAD = 577.0 / 506.0
 # copy times shrink to about 3/4.
 FLASH_SPEED_FACTOR = 4.0 / 3.0
 
+# The reference-runtime table's grid: dimensions n and memory budgets B.
+TABLE_LOG2_DIMS = range(32, 41)
+TABLE_MEM_LOG2 = (29, 30)
+
 
 @dataclass(frozen=True)
 class PerfParams:
@@ -93,12 +97,21 @@ def t_cp(params: PerfParams, n: int) -> float:
 
 
 def estimate(params: PerfParams, n: int, mem_log2: int) -> PerfEstimate:
-    """Predict the external-WHT runtime for dimension 2**n at budget B."""
+    """Predict the external-WHT runtime for dimension 2**n at budget B.
+    Raises ``BadArguments`` when that runtime is beyond a float."""
     if mem_log2 < 1 or n < mem_log2:
         raise BadArguments(f"need n >= B >= 1, got n={n}, B={mem_log2}")
     q = n - mem_log2 + 1
-    cpu = t_cpu(params, n)
-    io = q * t_cp(params, n)
+    try:
+        cpu = t_cpu(params, n)
+        io = q * t_cp(params, n)
+    except OverflowError:
+        cpu = io = math.inf
+    if not math.isfinite(cpu + io):
+        raise BadArguments(
+            f"the modelled runtime for n={n}, B={mem_log2} is too large to "
+            f"represent"
+        )
     return PerfEstimate(
         log2_dim=n,
         mem_log2=mem_log2,
@@ -194,14 +207,17 @@ def format_estimate(est: PerfEstimate) -> str:
     )
 
 
-def format_table(params: PerfParams, n_range=range(32, 41),
-                 mem_values=(29, 30)) -> str:
+def table_hours(params: PerfParams) -> dict[int, dict[int, float]]:
     """Reference-runtime table: hours per dimension for each memory budget."""
-    cols = "".join(f"  B={b} (h)" for b in mem_values)
+    return {n: {b: estimate(params, n, b).total_hours for b in TABLE_MEM_LOG2}
+            for n in TABLE_LOG2_DIMS}
+
+
+def format_table(params: PerfParams) -> str:
+    """``table_hours`` as text, one row per dimension."""
+    cols = "".join(f"  B={b} (h)" for b in TABLE_MEM_LOG2)
     lines = [f"{'n':>4}{cols}"]
-    for n in n_range:
-        cells = "".join(
-            f"{estimate(params, n, b).total_hours:>9.2f}" for b in mem_values
-        )
+    for n, hours in table_hours(params).items():
+        cells = "".join(f"{h:>9.2f}" for h in hours.values())
         lines.append(f"{n:>4}{cells}")
     return "\n".join(lines) + "\n"

@@ -55,6 +55,43 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestRefusedOutput:
+    """A refused output is refused before any work, and leaves no file."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        dataset.write_signal("in.bin", np.arange(16, dtype=np.int64))
+        dataset.write_signal("old.bin", np.zeros(16, dtype=np.int64))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fold", "--in", "in.bin", "--matrix", "m.txt", "--gen-dout", "2",
+          "--out", "old.bin"], 2),
+        (["gen", "--n", "4", "--support", "1:16", "--out", "a.bin",
+          "--clean-out", "old.bin"], 2),
+        (["gen", "--n", "4", "--support", "1:16", "--out", "s.bin",
+          "--clean-out", "./s.bin"], 1),
+        (["fold", "--in", "in.bin", "--matrix", "x.bin", "--gen-dout", "2",
+          "--out", "x.bin"], 1),
+        (["oracle", "--in", "in.bin", "--out", "old.bin"], 2),
+    ])
+    def test_leaves_no_new_file(self, capsys, workdir, monkeypatch, argv,
+                                code):
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before refusing the output")
+
+        for name in ("cli.wht_bruteforce", "noisy.gen",
+                     "subspace.random_full_rank", "subspace.fold_dataset"):
+            monkeypatch.setattr(f"bigwht.{name}", no_work)
+        before = sorted(os.listdir(workdir))
+        got, out, err = run_capture(capsys, argv)
+        assert got == code
+        assert out == ""
+        assert "Traceback" not in err
+        assert sorted(os.listdir(workdir)) == before
+
+
 class TestForce:
     def test_bare_payload_refused_without_force(self, capsys, tmp_path):
         bare = str(tmp_path / "bare.bin")
@@ -114,7 +151,7 @@ class TestGen:
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         for out in (a, b):
             code, _, _ = run_capture(
-                capsys, ["--seed", "11", "gen", "--n", "5", "--support", "1:32",
+                capsys, ["gen", "--seed", "11", "--n", "5", "--support", "1:32",
                          "--noise", "rademacher", "--sigma", "1", "--out", out]
             )
             assert code == 0
@@ -437,6 +474,18 @@ class TestOracle:
         assert domain == "walsh"
         assert arr.tolist() == [10, -2, -4, 0]
 
+    def test_refuses_walsh_input(self, capsys, tmp_path):
+        src = str(tmp_path / "w.bin")
+        dataset.write_signal(src, np.array([4, 0, 0, 0], dtype=np.int64),
+                             domain="walsh")
+        code, out, err = run_capture(capsys, ["oracle", "--in", src, "--out",
+                                              str(tmp_path / "o.bin")])
+        assert code == 3
+        assert out == ""
+        assert "walsh domain; expected time" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["w.bin", "w.bin.meta.json"]
+
     def test_limit_enforced(self, capsys, tmp_path):
         src = str(tmp_path / "src.bin")
         dataset.write_signal(src, np.zeros(1 << 5, dtype=np.int64))
@@ -472,6 +521,34 @@ class TestExtractAndSnr:
         doc = json.loads(out)
         assert [(c["index"], c["coefficient"]) for c in doc["coefficients"]] \
             == [(0, 10), (2, -4)]
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_extract_out_writes_csv(self, capsys, tmp_path, mode):
+        path = str(tmp_path / "w.bin")
+        csv_path = tmp_path / "hits.csv"
+        dataset.write_signal(path, np.array([10, -2, -4, 0], dtype=np.int64),
+                             domain="walsh")
+        code, out, err = run_capture(
+            capsys, mode + ["extract", "--in", path, "--threshold", "4",
+                            "--out", str(csv_path)])
+        assert code == 0
+        assert csv_path.read_text() == "index,coefficient\n0,10\n2,-4\n"
+        if mode:
+            assert json.loads(out)["count"] == 2
+            assert err == ""
+        else:
+            assert out == ""
+            assert err == f"wrote 2 coefficients to {csv_path}\n"
+
+    def test_snr_infinite_as_json_strings(self, capsys, tmp_path):
+        path = str(tmp_path / "c.bin")
+        dataset.write_signal(path, np.ones(16, dtype=np.int64))
+        code, out, _ = run_capture(capsys, ["--json", "snr", "--in", path,
+                                            "--sigma", "0"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["snr_linear"], doc["snr_db"], doc["infinite"]) \
+            == ("inf", "inf", True)
 
     def test_snr_human_and_json_agree(self, capsys, tmp_path):
         path = str(tmp_path / "c.bin")
@@ -548,6 +625,18 @@ class TestPlan:
         assert out == ""
 
 
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--n", "2000", "--b", "30"],
+        ["--json", "plan", "--n", "40", "--b", "30", "--tcp", "1e308",
+         "--io-overhead", "1e10"],
+    ])
+    def test_runtime_beyond_float_refused(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the modelled runtime")
+
+
 class TestIobenchCli:
     def test_small_sweep_csv(self, capsys, tmp_path):
         csv_path = str(tmp_path / "report.csv")
@@ -559,6 +648,14 @@ class TestIobenchCli:
         lines = Path(csv_path).read_text().strip().splitlines()
         assert lines[0] == "block_bytes,seconds,mbps"
         assert len(lines) == 3
+
+    def test_default_blocks_are_the_library_default(self):
+        from bigwht import iobench
+        from bigwht.cli import _parse_size, iobench_cmd
+        default = next(p.default for p in iobench_cmd.params
+                       if p.name == "blocks")
+        assert tuple(_parse_size(tok) for tok in default.split(",")) \
+            == iobench.DEFAULT_BLOCK_SIZES
 
     def test_bad_blocks_usage_error(self, capsys, tmp_path):
         code, _, _ = run_capture(
@@ -577,7 +674,7 @@ class TestFoldAndCoverage:
         data = rng.integers(-99, 99, 1 << 8).astype(np.int64)
         dataset.write_signal(src, data)
         code, _, _ = run_capture(
-            capsys, ["--seed", "5", "fold", "--in", src, "--matrix", matrix,
+            capsys, ["fold", "--seed", "5", "--in", src, "--matrix", matrix,
                      "--out", out, "--gen-dout", "5"]
         )
         assert code == 0

@@ -103,3 +103,26 @@ def test_only_dataset_and_engine_touch_pass_progress():
                                                       "external.py"):
             touching.append(path.name)
     assert touching == []
+
+
+def test_one_function_reads_the_json_flag():
+    # Every command reports through one function, so JSON output has one
+    # shape and one encoding; a command that branched on --json itself
+    # could drift from it.
+    def reads_json(node):
+        """``x["json"]`` or ``x.get("json")``."""
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key = node.args[0]
+        else:
+            return False
+        return isinstance(key, ast.Constant) and key.value == "json"
+
+    tree = ast.parse((Path(bigwht.__file__).parent / "cli.py").read_text(
+        encoding="utf-8"))
+    readers = [func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               and any(reads_json(node) for node in ast.walk(func))]
+    assert readers == ["_report"]

@@ -58,6 +58,15 @@ class TestEstimate:
     def test_n_equals_b_single_pass(self):
         assert estimate(DEFAULTS, 30, 30).q == 1
 
+    @pytest.mark.parametrize("params, n", [
+        (DEFAULTS, 2000),  # 2.0 ** (n - n_ref) raises OverflowError
+        (PerfParams(t_cp_seconds=1e308, io_overhead=1e10), 40),  # T_io = inf
+        (PerfParams(t_cpu_ref_seconds=1e308, t_cp_seconds=1e308), 32),  # sum
+    ])
+    def test_runtime_beyond_float_refused(self, params, n):
+        with pytest.raises(BadArguments, match="too large"):
+            estimate(params, n, 30)
+
     def test_preconditions(self):
         with pytest.raises(BadArguments):
             estimate(DEFAULTS, 28, 30)
