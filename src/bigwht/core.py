@@ -5,11 +5,14 @@ exact integer arithmetic (the primary test vehicle -- equality-based
 checks need no tolerances), float64 signals serve the noise tooling.
 The forward kernel works in place with one tile of scratch on every
 path: an int64 tile whose max |x| times its length stays below 2**53
-runs as exact float64 Hadamard products, float64 data and larger int64
-tiles as radix-2 butterflies. The int64 inverse divides by 2**n with a
-bit test and an arithmetic shift, so neither allocates a full-size
-array. ``wht_bruteforce`` evaluates the defining double sum directly
-and is the independent oracle every fast path is checked against.
+runs as exact float64 Hadamard products, each transforming the top
+index bits of the tile and rotating them to the bottom so that its
+output is contiguous and numpy keeps its BLAS path; float64 data and
+larger int64 tiles run as radix-2 butterflies. The int64 inverse
+divides by 2**n with a bit test and an arithmetic shift, so neither
+allocates a full-size array. ``wht_bruteforce`` evaluates the defining
+double sum directly and is the independent oracle every fast path is
+checked against.
 """
 
 from __future__ import annotations
@@ -54,11 +57,12 @@ _HADAMARD = [
     for r in range(_PRODUCT_RADIX_LOG2 + 1)
 ]
 
-# Columns per matrix product. 16 x 16 x 1024 = 2**18 multiply-adds is the
-# largest product numpy's bundled OpenBLAS runs on the calling thread; a
-# larger one starts OpenBLAS's own thread pool, which then contends with
-# the kernel's threads.
-_PRODUCT_COLS = 1024
+# Rows of the tile matrix per product, each a contiguous output row of
+# 2**r values. 1024 x 16 x 16 = 2**18 multiply-adds is the largest
+# product numpy's bundled OpenBLAS runs on the calling thread; a larger
+# one starts OpenBLAS's own thread pool, which then contends with the
+# kernel's threads.
+_PRODUCT_ROWS = 1024
 
 
 class Domain(str, enum.Enum):
@@ -199,9 +203,12 @@ def _tile_products(tile: np.ndarray, scratch: np.ndarray,
 
     The caller has checked max |x| * tile.size < 2**53, so every partial
     sum is an integer float64 holds exactly, whatever order BLAS sums in.
-    Each constant-geometry step transforms the low r index bits with one
-    H_{2**r} product and rotates them to the top; the radices sum to
-    log2(tile.size), so the tile ends in natural order. The steps
+    Each constant-geometry step transforms the top r index bits with one
+    H_{2**r} product and rotates them to the bottom; the radices sum to
+    log2(tile.size), so the tile ends in natural order. In that direction
+    the product's ``out`` is C-contiguous, which keeps numpy's matmul on
+    its BLAS path; the opposite direction, low bits rotated to the top,
+    writes a strided ``out`` and runs about twice as slow. The steps
     ping-pong between the float64 ``scratch`` and the tile's own memory
     viewed as float64; their count is even, so the result ends in the
     scratch and one cast brings it back.
@@ -209,11 +216,10 @@ def _tile_products(tile: np.ndarray, scratch: np.ndarray,
     src, dst = scratch, tile.view(np.float64)
     np.copyto(src, tile)
     for r in radices:
-        rows = 1 << r
-        width = min(tile.size >> r, _PRODUCT_COLS)
-        np.matmul(_HADAMARD[r],
-                  src.reshape(-1, width, rows).transpose(0, 2, 1),
-                  out=dst.reshape(rows, -1, width).transpose(1, 0, 2))
+        radix = 1 << r
+        rows = min(tile.size >> r, _PRODUCT_ROWS)
+        np.matmul(src.reshape(radix, -1, rows).transpose(1, 2, 0),
+                  _HADAMARD[r], out=dst.reshape(-1, rows, radix))
         src, dst = dst, src
     np.copyto(tile, src, casting="unsafe")
 
@@ -242,9 +248,11 @@ def fwht_array(buf: np.ndarray) -> int:
     whose max |x| is below 2**(53 - t) runs as float64 Hadamard products
     (``_tile_products``): every partial sum of its t stages is then an
     integer below 2**53, which float64 holds exactly, so the result is
-    the exact int64 one, bit for bit. Each product is at most
-    16 x 16 x 1024 multiply-adds, small enough that OpenBLAS runs it on
-    the calling thread. float64 buffers, whose contract is bit-identity
+    the exact int64 one, bit for bit. Each product step transforms the
+    top index bits and rotates them to the bottom, so that it writes a
+    contiguous output and numpy runs it through BLAS; each product is at
+    most 1024 x 16 x 16 multiply-adds, small enough that OpenBLAS runs it
+    on the calling thread. float64 buffers, whose contract is bit-identity
     with the stage-by-stage loop that BLAS's summation order would
     break, and int64 tiles at or above the bound run radix-2 stages:
     each butterflies neighbours 2i, 2i + 1 of the source into slots i

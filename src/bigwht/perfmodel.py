@@ -145,7 +145,7 @@ def estimate_distributed(
             f"need n_source >= n_reduced >= B >= 1, got "
             f"{n_source}, {n_reduced}, {mem_log2}"
         )
-    fold_cpu = t_cpu(params, n_source)
+    fold_cpu = estimate(params, n_source, mem_log2).t_cpu_seconds
     reduced = estimate(params, n_reduced, mem_log2)
     return DistributedEstimate(
         per_machine_seconds=fold_cpu + reduced.t_io_seconds,

@@ -177,12 +177,15 @@ def tile_boundary_input(n, dtype, seed):
 
 
 def record_products(monkeypatch):
-    """Record the (m, k, n) of every matrix product run from now on."""
+    """Record the (m, k, n) of every matrix product run from now on, and
+    whether its ``out`` is C-contiguous."""
     shapes = []
     matmul = np.matmul
 
     def recording(a, b, **kwargs):
-        shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+        out = kwargs.get("out")
+        contiguous = out is not None and out.flags.c_contiguous
+        shapes.append((a.shape[-2], a.shape[-1], b.shape[-1], contiguous))
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording)
@@ -241,7 +244,9 @@ class TestTiledKernel:
             assert peak <= min(x.size, TILE_ELEMS) * x.itemsize * 5 // 4
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("t", [1, 13, 16])
+    # Every t, so every radix split: BLAS sums each product in its own
+    # order, and the result must be exact in all of them.
+    @pytest.mark.parametrize("t", range(1, TILE_LOG2 + 1))
     def test_float_exactness_bound(self, monkeypatch, t, sign):
         # max |x| = 2**(53 - t) - 1 takes the product path, whose largest
         # sums come within 2**t of 2**53; one more takes the radix-2 loop.
@@ -276,14 +281,16 @@ class TestTiledKernel:
     def test_products_stay_on_calling_thread(self, monkeypatch):
         # OpenBLAS runs a product of at most 2**18 multiply-adds on the
         # calling thread; a larger one starts its own thread pool, which
-        # contends with the kernel's threads.
+        # contends with the kernel's threads. A strided ``out`` takes
+        # numpy's slower matmul loop, so every ``out`` is C-contiguous.
         products = record_products(monkeypatch)
         x = tile_boundary_input(20, np.int64, 5)
         expected = stagewise_fwht(x.copy())
         fwht_array(x)
         assert np.array_equal(x, expected)
         assert len(products) == 16 * 4
-        assert all(m * k * n <= 1 << 18 for m, k, n in products)
+        assert all(m * k * n <= 1 << 18 for m, k, n, _ in products)
+        assert all(contiguous for *_, contiguous in products)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("length", [1, 5, TILE_ELEMS // 2, TILE_ELEMS + 3])

@@ -112,6 +112,11 @@ class TestDistributed:
         with pytest.raises(BadArguments):
             estimate_distributed(DEFAULTS, 45, 40, 30, 0)
 
+    def test_huge_source_refused(self):
+        # The fold's CPU cost at 2**2000 is beyond a float.
+        with pytest.raises(BadArguments, match="too large"):
+            estimate_distributed(DEFAULTS, 2000, 40, 30, 1)
+
 
 def report_with(copy_seconds, file_bytes, blocks=None):
     blocks = blocks or [128 << 20]
