@@ -8,7 +8,10 @@ path: an int64 tile whose max |x| times its length stays below 2**53
 runs as exact float64 Hadamard products, each transforming the top
 index bits of the tile and rotating them to the bottom so that its
 output is contiguous and numpy keeps its BLAS path; float64 data and
-larger int64 tiles run as radix-2 butterflies. The int64 inverse
+larger int64 tiles run as radix-2 butterflies. Stages above the tile
+run two at a time as radix-4 sweeps over half-tile slices through two
+temporaries, the two halves of the same scratch: half the numpy calls
+of quarter-tile slices, with the same memory. The int64 inverse
 divides by 2**n with a bit test and an arithmetic shift, so neither
 allocates a full-size array. ``wht_bruteforce`` evaluates the defining
 double sum directly and is the independent oracle every fast path is
@@ -153,39 +156,24 @@ def check_magnitude(magnitude: int, log2_dim: int) -> None:
         )
 
 
-def _butterfly(lo: np.ndarray, hi: np.ndarray, tmp: np.ndarray) -> None:
-    """(lo, hi) <- (lo + hi, lo - hi) in place; ``tmp`` has lo's shape."""
-    np.subtract(lo, hi, out=tmp)
-    lo += hi
-    hi[...] = tmp
-
-
-def _butterfly_slices(lo: np.ndarray, hi: np.ndarray, tmp: np.ndarray) -> None:
-    """Butterfly two equal-length 1-D views, ``tmp.size`` elements at a time."""
-    step = tmp.size
-    for off in range(0, lo.size, step):
-        end = min(off + step, lo.size)
-        _butterfly(lo[off:end], hi[off:end], tmp[: end - off])
-
-
 def _quad(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-          temps: list[np.ndarray]) -> None:
+          s0: np.ndarray, s1: np.ndarray) -> None:
     """Stages k and k + 1 over four equal 1-D views 2**k apart, in place.
 
     (a, b, c, d) <- (a+b + c+d, a-b + c-d, a+b - (c+d), a-b - (c-d)):
-    the stage-k sums and differences go to the four scratch views
-    ``temps``, then stage k + 1 combines them, so every addition has the
-    operands of the plain stage-by-stage loop.
+    stage k's sum and difference of (a, b) go to the scratch views ``s0``
+    and ``s1``, those of (c, d) into a and b, then stage k + 1 writes all
+    four outputs, so every addition has the operands of the plain
+    stage-by-stage loop.
     """
-    s0, s1, s2, s3 = temps
     np.add(a, b, out=s0)
     np.subtract(a, b, out=s1)
-    np.add(c, d, out=s2)
-    np.subtract(c, d, out=s3)
-    np.add(s0, s2, out=a)
-    np.subtract(s0, s2, out=c)
-    np.add(s1, s3, out=b)
-    np.subtract(s1, s3, out=d)
+    np.add(c, d, out=a)
+    np.subtract(c, d, out=b)
+    np.subtract(s0, a, out=c)
+    np.add(s0, a, out=a)
+    np.subtract(s1, b, out=d)
+    np.add(s1, b, out=b)
 
 
 def _radix_split(t: int) -> list[int]:
@@ -224,16 +212,24 @@ def _tile_products(tile: np.ndarray, scratch: np.ndarray,
     np.copyto(tile, src, casting="unsafe")
 
 
-def butterfly(lo: np.ndarray, hi: np.ndarray) -> None:
+def butterfly(lo: np.ndarray, hi: np.ndarray,
+              tmp: np.ndarray | None = None) -> None:
     """Replace (lo, hi) by (lo + hi, lo - hi) elementwise, in place.
 
     ``lo`` and ``hi`` are disjoint 1-D arrays of one length and dtype.
-    The difference passes through a per-call scratch of at most half a
-    tile, so memory use does not grow with the length and concurrent
-    callers share nothing.
+    The difference passes through ``tmp``, a 1-D scratch of their dtype,
+    ``tmp.size`` elements at a time. Without it the call allocates its
+    own of at most half a tile, so memory use does not grow with the
+    length and concurrent callers share nothing.
     """
-    tmp = np.empty(min(lo.size, TILE_ELEMS // 2), dtype=lo.dtype)
-    _butterfly_slices(lo, hi, tmp)
+    if tmp is None:
+        tmp = np.empty(min(lo.size, TILE_ELEMS // 2), dtype=lo.dtype)
+    step = tmp.size
+    for off in range(0, lo.size, step):
+        end = min(off + step, lo.size)
+        diff = np.subtract(lo[off:end], hi[off:end], out=tmp[: end - off])
+        lo[off:end] += hi[off:end]
+        hi[off:end] = diff
 
 
 def fwht_array(buf: np.ndarray) -> int:
@@ -262,12 +258,14 @@ def fwht_array(buf: np.ndarray) -> int:
     elements that differ in bit s, and after t stages the tile is back
     in natural order (in the scratch when t is odd, copied back once).
     Stages t .. n-1 run two at a time as radix-4 sweeps over four
-    quarter-tile slices 2**k apart, with a single radix-2 sweep over
-    half-tile slices when n - t is odd; each butterfly there sees the
-    same operands as in the plain stage-by-stage loop. So int64 and
-    float64 output is bit-identical to that loop. Scratch is one tile on
-    every path, allocated per call so concurrent callers on disjoint
-    buffers are safe.
+    half-tile slices 2**k apart through two temporaries, the halves of
+    the scratch (``_quad``): half the numpy calls of quarter-tile slices
+    through four, with the same one tile of scratch. A single radix-2
+    sweep over half-tile slices follows when n - t is odd. Each
+    butterfly there sees the same operands as in the plain
+    stage-by-stage loop, so int64 and float64 output is bit-identical to
+    that loop. Scratch is one tile on every path, allocated per call so
+    concurrent callers on disjoint buffers are safe.
     """
     if not buf.flags.c_contiguous:
         raise BadArguments("in-place transform needs a contiguous buffer")
@@ -292,24 +290,21 @@ def fwht_array(buf: np.ndarray) -> int:
             src, dst = dst, src
         if t & 1:
             np.copyto(dst, src)
-    quarter = size >> 2
-    temps = [scratch[i * quarter : (i + 1) * quarter] for i in range(4)]
+    s0, s1 = scratch[:half], scratch[half:]
     k = t
     while k + 1 < n:
         stride = 1 << k
         for base in range(0, dim, stride << 2):
-            for off in range(base, base + stride, quarter):
-                a, b, c, d = (buf[off + i * stride : off + i * stride + quarter]
+            for off in range(base, base + stride, half):
+                a, b, c, d = (buf[off + i * stride : off + i * stride + half]
                               for i in range(4))
-                _quad(a, b, c, d, temps)
+                _quad(a, b, c, d, s0, s1)
         k += 2
     if k < n:
         stride = 1 << k
         for base in range(0, dim, stride << 1):
-            _butterfly_slices(
-                buf[base : base + stride], buf[base + stride : base + (stride << 1)],
-                scratch[:half],
-            )
+            butterfly(buf[base : base + stride],
+                      buf[base + stride : base + (stride << 1)], s0)
     return (n << n) >> 1
 
 

@@ -56,7 +56,7 @@ from itertools import islice
 import numpy as np
 
 from .bits import is_power_of_two
-from .core import butterfly, check_magnitude_bound, fwht_array
+from .core import TILE_ELEMS, butterfly, check_magnitude_bound, fwht_array
 from .dataset import ELEMENT_BYTES, DatasetFile
 from .errors import BadArguments, BadBlockSize, OverflowBoundError
 from .parallel import StagePlan, plan_parallel, run_plan, usable_cpus
@@ -189,7 +189,8 @@ def _file_pass(ds: DatasetFile, tasks, buf: np.ndarray, compute,
 def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
     """Run one step of ``plan.steps()`` as one ``_file_pass`` over ``ds``.
 
-    A stage step butterflies each pair of S-element runs. The chunk step
+    A stage step butterflies each pair of S-element runs through one
+    half-tile scratch for the whole pass. The chunk step
     bound-checks and transforms each superblock on the thread schedule;
     an int64 overflow found in a later superblock undoes the superblocks
     already written, through the same buffer. The undo is exact: H * H =
@@ -200,8 +201,9 @@ def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
     """
     stages, length, tasks = step
     if stages.start:  # a stage step; the chunk step starts at stage 0
+        tmp = np.empty(min(length, TILE_ELEMS // 2), dtype=ds.dtype)
         _file_pass(ds, tasks, np.empty((2, length), dtype=ds.dtype),
-                   lambda rows: butterfly(*rows), marker)
+                   lambda rows: butterfly(*rows, tmp), marker)
         return
     n, b = plan.log2_dim, plan.block_log2
     p = max(0, min(usable_cpus().bit_length() - 1, b - 1))

@@ -265,14 +265,16 @@ def extract_above_dataset(
     ds: dataset.DatasetFile, tau
 ) -> list[tuple[int, float]]:
     """Streaming extraction over a Walsh-domain dataset, one
-    ``dataset.STREAM_BLOCK_ELEMS`` block at a time."""
+    ``dataset.STREAM_BLOCK_ELEMS`` block at a time, each read into the
+    same reused buffer."""
     if ds.domain != "walsh":
         raise BadArguments(f"{ds.path} is not Walsh-domain")
     _check_tau(tau)
     hits: list[tuple[int, float]] = []
     block = min(dataset.STREAM_BLOCK_ELEMS, ds.dim)
+    buf = np.empty(block, dtype=ds.dtype)
     for start in range(0, ds.dim, block):
-        _extract(ds.read_block(start, min(block, ds.dim - start)), start, tau, hits)
+        _extract(ds.read_block(start, block, out=buf), start, tau, hits)
     hits.sort(key=lambda item: (-abs(item[1]), item[0]))
     return hits
 

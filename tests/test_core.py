@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from bigwht import core
 from bigwht.core import (
     TILE_ELEMS,
     TILE_LOG2,
@@ -200,8 +201,8 @@ class TestTiledKernel:
     # product path (16 = 4+4+4+4, 13 = 4+3+3+3, 3 = 2+1, 1 = 1+0) and both
     # parities of the float64 radix-2 loop, whose odd t ends in the
     # scratch; n = 19 is one radix-4 sweep plus a radix-2 one, n = 20 two
-    # radix-4 sweeps.
-    @pytest.mark.parametrize("n", range(21))
+    # radix-4 sweeps, n = 21 two plus a radix-2 one, n = 22 three.
+    @pytest.mark.parametrize("n", range(23))
     def test_matches_stagewise_loop(self, n, dtype):
         x = tile_boundary_input(n, dtype, 1)
         expected = stagewise_fwht(x.copy())
@@ -211,7 +212,7 @@ class TestTiledKernel:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     # n = 14 gives each half an uneven radix split, 13 = 4+3+3+3.
-    @pytest.mark.parametrize("n", [1, 13, 14, 15, 16, 17, 18, 19, 20])
+    @pytest.mark.parametrize("n", [1, 13, 14, 15, 16, 17, 18, 19, 20, 21])
     def test_concurrent_halves(self, n, dtype):
         x = tile_boundary_input(n, dtype, 2)
         expected = x.copy()
@@ -232,8 +233,9 @@ class TestTiledKernel:
         assert np.array_equal(got, expected)
 
     def test_scratch_is_one_tile(self):
-        # n = 13 is one tile with an uneven radix split, 4+3+3+3.
-        for n in (13, 18):
+        # n = 13 is one tile with an uneven radix split, 4+3+3+3; n = 20
+        # runs two radix-4 sweeps inside the same tile of scratch.
+        for n in (13, 18, 20):
             x = tile_boundary_input(n, np.int64, 3)
             tracemalloc.start()
             try:
@@ -292,16 +294,36 @@ class TestTiledKernel:
         assert all(m * k * n <= 1 << 18 for m, k, n, _ in products)
         assert all(contiguous for *_, contiguous in products)
 
+    def test_radix4_sweeps_use_half_tile_slices(self, monkeypatch):
+        # Stages 16 .. 19 of n = 20 are two radix-4 sweeps; each covers
+        # the buffer in 8 calls on four half-tile slices.
+        sizes = []
+        quad = core._quad
+
+        def recording(a, b, c, d, *scratch):
+            sizes.append({a.size, b.size, c.size, d.size})
+            quad(a, b, c, d, *scratch)
+
+        monkeypatch.setattr(core, "_quad", recording)
+        x = tile_boundary_input(20, np.int64, 6)
+        expected = stagewise_fwht(x.copy())
+        fwht_array(x)
+        assert np.array_equal(x, expected)
+        assert sizes == [{TILE_ELEMS // 2}] * 16
+
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("length", [1, 5, TILE_ELEMS // 2, TILE_ELEMS + 3])
     def test_butterfly(self, length, dtype):
         rng = np.random.default_rng(length)
         lo = rng.integers(-1000, 1000, length).astype(dtype)
         hi = rng.integers(-1000, 1000, length).astype(dtype)
-        a, b = lo.copy(), hi.copy()
-        butterfly(a, b)
-        assert np.array_equal(a, lo + hi)
-        assert np.array_equal(b, lo - hi)
+        # Its own scratch, and a given one of 3 elements: every length
+        # here ends on a last slice shorter than that.
+        for tmp in (None, np.empty(3, dtype=dtype)):
+            a, b = lo.copy(), hi.copy()
+            butterfly(a, b, tmp)
+            assert np.array_equal(a, lo + hi)
+            assert np.array_equal(b, lo - hi)
 
 
 class TestInverse:
