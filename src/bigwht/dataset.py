@@ -446,10 +446,12 @@ def write_signal(path: str, data: np.ndarray, domain: str = "time") -> None:
     )
     if kind is None:
         raise BadArguments(f"unsupported dtype {arr.dtype}")
-    n = int(arr.shape[0]).bit_length() - 1
-    if (1 << n) != arr.shape[0]:
-        raise BadArguments("length must be a power of two")
-    ds = create(path, n, kind, domain=domain)
+    # Refuse before create, which would leave a zero-filled dataset behind.
+    if arr.ndim != 1 or not is_power_of_two(arr.size):
+        raise BadArguments(
+            f"need a 1-D array of power-of-two length, got shape {arr.shape}"
+        )
+    ds = create(path, arr.size.bit_length() - 1, kind, domain=domain)
     try:
         ds.write_block(0, arr)
         ds.flush()

@@ -21,15 +21,16 @@ blocked mode turns the arithmetic into large sequential transfers, and
 entry-wise mode is S = 1, the paper's skip-rule loop: read pt, read
 pt + 2**k, write both, one element per operation.
 
-Pass 0 computes each superblock on the thread schedule of ``parallel``,
-with 2**p workers for the process's usable CPUs (p = floor(log2 CPUs),
-capped at B - 1; p = 0 is the serial kernel). Reads, the bound check and
-writes stay on the calling thread, in order. Memory stays within the
-2**B budget: the pass buffer, plus one 2**16-element tile (512 KiB) of
-kernel scratch per worker in pass 0 or half a tile of butterfly scratch
-in a stage pass. Meanwhile the dataset handle writes back behind the
-passes on a background sync thread, so the flush that ends each pass
-waits only for the last few megabytes.
+Pass 0 computes each superblock with ``parallel.run_plan`` on the thread
+schedule, 2**p workers for the process's usable CPUs (p = floor(log2
+CPUs), capped at B - 1; p = 0 is one worker running the whole superblock
+as one chunk). ``run_plan`` also checks the int64 bound, chunk by chunk
+on the pass's pool; reads and writes stay on the calling thread, in
+order. Memory stays within the 2**B budget: the pass buffer, plus one
+2**16-element tile (512 KiB) of kernel scratch per worker in pass 0 or
+half a tile of butterfly scratch in a stage pass. Meanwhile the dataset
+handle writes back behind the passes on a background sync thread, so
+the flush that ends each pass waits only for the last few megabytes.
 
 No marker is written before the run's first payload write, so a run that
 is refused or fails before then (say, on the first superblock's read or
@@ -56,10 +57,10 @@ from itertools import islice
 import numpy as np
 
 from .bits import is_power_of_two
-from .core import TILE_ELEMS, butterfly, check_magnitude_bound, fwht_array
+from .core import TILE_ELEMS, butterfly, fwht_array
 from .dataset import ELEMENT_BYTES, DatasetFile
 from .errors import BadArguments, BadBlockSize, OverflowBoundError
-from .parallel import StagePlan, plan_parallel, run_plan, usable_cpus
+from .parallel import StagePlan, run_plan, usable_cpus
 
 
 def plan_external(n: int, mem_log2: int, io_block_elems: int) -> StagePlan:
@@ -190,14 +191,15 @@ def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
     """Run one step of ``plan.steps()`` as one ``_file_pass`` over ``ds``.
 
     A stage step butterflies each pair of S-element runs through one
-    half-tile scratch for the whole pass. The chunk step
-    bound-checks and transforms each superblock on the thread schedule;
-    an int64 overflow found in a later superblock undoes the superblocks
-    already written, through the same buffer. The undo is exact: H * H =
-    2**B * I, and these values passed the bound, so each transformed
-    value is a multiple of 2**B and the arithmetic shift by B divides it
-    exactly. A kill in the undo leaves ``writing: true``, which every
-    later run refuses.
+    half-tile scratch for the whole pass. The chunk step runs each
+    superblock through ``run_plan`` on a pool of 2**p workers (one when
+    p = 0), which checks the bound for the whole 2**n transform before
+    it changes the superblock; an int64 overflow found in a later
+    superblock undoes the superblocks already written, through the same
+    buffer. The undo is exact: H * H = 2**B * I, and these values passed
+    the bound, so each transformed value is a multiple of 2**B and the
+    arithmetic shift by B divides it exactly. A kill in the undo leaves
+    ``writing: true``, which every later run refuses.
     """
     stages, length, tasks = step
     if stages.start:  # a stage step; the chunk step starts at stage 0
@@ -207,19 +209,15 @@ def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
         return
     n, b = plan.log2_dim, plan.block_log2
     p = max(0, min(usable_cpus().bit_length() - 1, b - 1))
-    block_plan = plan_parallel(b, p) if p else None
+    # B = 0 (a one-element dataset) has no stage step, so S is moot there.
+    block_plan = StagePlan(b, b - p, 1 << max(0, b - 1 - p))
     done = 0
 
     def transform(rows: np.ndarray) -> None:
         nonlocal done
-        block = rows[0]
         # The original data streams by exactly once here, so this is
         # where the whole-transform magnitude bound gets enforced.
-        check_magnitude_bound(block, n)
-        if block_plan is None:
-            fwht_array(block)
-        else:
-            run_plan(block, block_plan, pool)
+        run_plan(rows[0], block_plan, pool, bound_log2=n)
         done += 1
 
     def undo(rows: np.ndarray) -> None:
@@ -229,7 +227,6 @@ def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
     # One superblock buffer for the pass and its undo: a fresh array per
     # read would hold two superblocks while the old one is still bound.
     buf = np.empty((1, length), dtype=ds.dtype)
-    # Threads start on first submit, so the serial case starts none.
     with ThreadPoolExecutor(max_workers=1 << p) as pool:
         try:
             _file_pass(ds, tasks, buf, transform, marker)

@@ -182,8 +182,8 @@ def _stream(src: str | None, dst: str | None, nbytes: int, transfer: int,
     """
     # mmap gives page-aligned memory, satisfying O_DIRECT's buffer rule.
     buf = mmap.mmap(-1, transfer)
-    if src is None:
-        buf[:] = b"\xa5" * transfer
+    if src is None:  # fill in place: a bytes pattern would be a second buffer
+        np.frombuffer(buf, dtype=np.uint8).fill(0xA5)
     view = memoryview(buf)
     ends = []  # (fd, call, what) for each side given
     started = time.perf_counter()

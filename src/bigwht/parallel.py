@@ -5,20 +5,21 @@ on its own (stages 0 .. B-1), then performs each stage k = B .. n-1 as
 butterflies between paired runs of S elements 2**k apart. ``steps()`` is
 the one walk over that plan: each barrier-separated step as (stages, run
 length, tasks), a task being the tuple of run starts it transforms.
-``run_plan`` submits each task to a thread pool, the disk engine of
-``external`` runs each step as one file pass, and the plan checker below
-walks the same tasks, proving that within a step they touch pairwise
-disjoint indices -- which is what makes mutating one shared buffer (or
-file) safe. The thread schedule for 2**p workers is the plan with
-B = n - p and S = 2**(B-1); the disk passes are the plan with the memory
-budget's B and the transfer size S.
+``run_plan`` checks each chunk's int64 bound on a thread pool, then
+submits each task to that pool; the disk engine of ``external`` runs
+each step as one file pass, and the plan checker below walks the same
+tasks, proving that within a step they touch pairwise disjoint indices
+-- which is what makes mutating one shared buffer (or file) safe. The
+thread schedule for 2**p workers is the plan with B = n - p and
+S = 2**(B-1); the disk passes are the plan with the memory budget's B
+and the transfer size S.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,43 +139,56 @@ def usable_cpus() -> int:
 
 
 def run_plan(
-    buf: np.ndarray, plan: StagePlan, pool: Executor, on_phase_complete=None
+    buf: np.ndarray, plan: StagePlan, pool: Executor, on_phase_complete=None,
+    bound_log2: int | None = None,
 ) -> None:
     """Transform ``buf`` in place by running the plan's steps on ``pool``.
 
-    Each task of ``plan.steps()`` is one pool task: ``fwht_array`` on a
-    chunk, ``butterfly`` on a pair of runs. The buffer is shared
-    mutably across the tasks of a step (safe by index disjointness); a
-    full barrier separates steps, and ``on_phase_complete(i)`` follows
-    step i. A task failure propagates as a single exception after the
-    step drains, leaving the buffer contents unspecified. Checks neither
-    the magnitude bound nor a domain: that is the caller's business.
+    First every chunk's int64 magnitude bound is checked on the pool, for
+    a transform of 2**bound_log2 elements (default: the plan's own size),
+    and all checks drain before the chunk step, so a refusal raises
+    ``OverflowBoundError`` with the buffer untouched. Then each task of
+    ``plan.steps()`` is one pool task: ``fwht_array`` on a chunk,
+    ``butterfly`` on a pair of runs. The buffer is shared mutably across
+    the tasks of a step (safe by index disjointness); a full barrier
+    separates steps, and ``on_phase_complete(i)`` follows step i. A task
+    failure propagates as a single exception after the step drains,
+    leaving the buffer contents unspecified. Checks no domain: that is
+    the caller's business.
     """
     if buf.shape != (1 << plan.log2_dim,):
         raise BadArguments(
             f"plan is for 2**{plan.log2_dim} elements, buffer has shape "
             f"{buf.shape}"
         )
+    if bound_log2 is None:
+        bound_log2 = plan.log2_dim
+    chunk = 1 << plan.block_log2
+    _drain([pool.submit(check_magnitude_bound, buf[c : c + chunk], bound_log2)
+            for c in plan.chunks()])
     for step, (_, length, tasks) in enumerate(plan.steps()):
         kernel = butterfly if step else fwht_array
-        futures = [pool.submit(kernel, *(buf[r : r + length] for r in task))
-                   for task in tasks]
-        # Barrier: drain the whole step, then raise its first failure.
-        for exc in [fut.exception() for fut in futures]:
-            if exc is not None:
-                raise exc
+        _drain([pool.submit(kernel, *(buf[r : r + length] for r in task))
+                for task in tasks])
         if on_phase_complete is not None:
             on_phase_complete(step)
+
+
+def _drain(futures: list[Future]) -> None:
+    """Barrier: wait for every future, then raise the first failure."""
+    for exc in [fut.exception() for fut in futures]:
+        if exc is not None:
+            raise exc
 
 
 def run_parallel(sig: Signal, plan: StagePlan, on_phase_complete=None) -> Signal:
     """Execute the plan on a pool of one worker per chunk; blocks until done.
 
-    Output is bit-identical to the serial transform. A worker failure
-    propagates as a single exception after the phase drains; the signal
-    must then be discarded.
+    Output is bit-identical to the serial transform. An int64 signal that
+    could overflow is refused before any element changes (``run_plan``
+    checks the bound). Any other worker failure propagates as a single
+    exception after the phase drains; the signal must then be discarded.
     """
-    check_magnitude_bound(sig.data, sig.log2_dim)
     with ThreadPoolExecutor(max_workers=len(plan.chunks())) as pool:
         run_plan(sig.data, plan, pool, on_phase_complete)
     sig.domain = Domain.WALSH if sig.domain == Domain.TIME else Domain.TIME

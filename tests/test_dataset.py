@@ -440,6 +440,18 @@ class TestHelpers:
         assert domain == "walsh"
         assert np.array_equal(arr, data)
 
+    @pytest.mark.parametrize("data", [np.zeros((4, 4), dtype=np.int64),
+                                      np.zeros(0, dtype=np.int64),
+                                      np.int64(7),
+                                      np.zeros(6, dtype=np.float64)],
+                             ids=["2-d", "empty", "0-d", "length-6"])
+    def test_write_signal_refuses_shape_unwritten(self, tmp_path, data):
+        # The array is checked before create, so a refusal leaves no
+        # zero-filled payload or sidecar behind.
+        with pytest.raises(BadArguments):
+            dataset.write_signal(str(tmp_path / "data.bin"), data)
+        assert os.listdir(tmp_path) == []
+
     def test_fault_hook_fires(self, path):
         with dataset.create(path, 4, "int64") as ds:
             calls = []

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bigwht import dataset, external, subspace
+from bigwht import dataset, external, parallel, subspace
 from bigwht.core import fwht_array
 from bigwht.errors import BadArguments, BadBlockSize, IoFailure, OverflowBoundError
 from bigwht.external import (
@@ -99,6 +99,18 @@ class TestEntrywise:
         assert report.plan.q == 1
         got, _, _ = dataset.read_signal(path)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_element_dataset(self, tmp_path, monkeypatch, cpus):
+        # n = 0 gives B = 0: pass 0 is one chunk of one element, the identity.
+        set_cpus(monkeypatch, cpus)
+        path, data = make_dataset(tmp_path, 0)
+        with dataset.open_validated(path) as ds:
+            report = run_external_blocked(ds, 8)
+        assert report.passes_executed == [0]
+        got, _, domain = dataset.read_signal(path)
+        assert domain == "walsh"
+        assert got.tobytes() == data.tobytes()
 
     def test_delta_file(self, tmp_path):
         n = 12
@@ -638,9 +650,9 @@ class TestThreadedPassZero:
         plans = []
         real_run_plan = external.run_plan
 
-        def spy(buf, plan, pool, on_phase_complete=None):
+        def spy(buf, plan, pool, *args, **kwargs):
             plans.append(plan.log2_dim - plan.block_log2)
-            real_run_plan(buf, plan, pool, on_phase_complete)
+            real_run_plan(buf, plan, pool, *args, **kwargs)
 
         monkeypatch.setattr(external, "run_plan", spy)
         data = random_data(n, dtype, seed=n + b)
@@ -652,7 +664,28 @@ class TestThreadedPassZero:
         got, _, _ = dataset.read_signal(path)
         assert got.tobytes() == expected.tobytes()
         p = min(cpus.bit_length() - 1, b - 1)
-        assert plans == ([p] * (1 << (n - b)) if p else [])
+        assert plans == [p] * (1 << (n - b))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bound_checked_per_chunk_through_parallel(self, tmp_path,
+                                                      monkeypatch, cpus):
+        # Pass 0's bound check is run_plan's call of
+        # parallel.check_magnitude_bound, once per chunk of each
+        # superblock, for the whole 2**n transform.
+        set_cpus(monkeypatch, cpus)
+        calls = []
+        real_check = parallel.check_magnitude_bound
+
+        def counting(data, log2_dim):
+            calls.append(log2_dim)
+            real_check(data, log2_dim)
+
+        monkeypatch.setattr(parallel, "check_magnitude_bound", counting)
+        path, _ = make_dataset(tmp_path, 12)
+        with dataset.open_validated(path) as ds:
+            run_external_blocked(ds, 8, io_block_elems=1 << 4)
+        p = cpus.bit_length() - 1
+        assert calls == [12] * (16 << p)
 
     def test_io_sequence_unchanged(self, tmp_path, monkeypatch):
         n, b = 12, 8

@@ -2,6 +2,7 @@
 machine-dependent and never asserted, only the accounting."""
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,22 @@ class TestMeasureCopy:
         )
         # Either the platform honoured O_DIRECT or the fallback left a note.
         assert result.direct_io or result.warnings
+
+
+class TestStream:
+    def test_write_pattern_filled_in_place(self, tmp_path):
+        # The 0xA5 pattern is written into the transfer buffer itself; a
+        # bytes pattern would add a temporary as large as the transfer.
+        dst = tmp_path / "out.bin"
+        transfer = 4 * MB
+        tracemalloc.start()
+        try:
+            iobench._stream(None, str(dst), 2 * transfer, transfer, False, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < transfer // 2
+        assert dst.read_bytes() == b"\xa5" * (2 * transfer)
 
 
 class TestSweep:

@@ -88,6 +88,19 @@ def test_only_dataset_touches_fault_hook():
     assert touching == []
 
 
+def test_only_core_and_parallel_check_the_bound():
+    # run_plan owns a planned transform's int64 bound and core's serial API
+    # owns its own; a third module calling check_magnitude_bound would be a
+    # second owner for a planned transform, through a binding that
+    # bench/tracing.py does not wrap.
+    touching = []
+    for path in sorted(Path(bigwht.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "check_magnitude_bound" in _referenced_names(tree):
+            touching.append(path.name)
+    assert touching == ["core.py", "parallel.py"]
+
+
 def test_only_dataset_and_engine_touch_pass_progress():
     # An interrupted transform's marker is written by the engine and
     # judged by DatasetFile.domain alone; a module that read it could grow

@@ -4,8 +4,8 @@ reference schedule, provable disjointness, and exact serial equivalence."""
 import numpy as np
 import pytest
 
-from bigwht.core import Signal, fwht_array, fwht_inplace
-from bigwht.errors import InvalidWorkerCount, ValidationError
+from bigwht.core import Domain, Signal, fwht_array, fwht_inplace
+from bigwht.errors import InvalidWorkerCount, OverflowBoundError, ValidationError
 from bigwht.parallel import (
     StagePlan,
     check_disjoint,
@@ -151,6 +151,26 @@ class TestRun:
         for p in (1, 2):
             got = run_parallel(Signal(x.copy()), plan_parallel(n, p))
             assert got.data.tobytes() == expected.tobytes(), (n, p)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_bound_refused_in_last_tile_untouched(self, p):
+        # run_plan checks every chunk before the chunk step, so a value at
+        # the bound in the last tile of the last chunk is refused with the
+        # buffer untouched; one notch below, the transform runs.
+        n = 18
+        rng = np.random.default_rng([104, p])
+        x = rng.integers(-(1 << 20), 1 << 20, 1 << n).astype(np.int64)
+        x[-1] = -(1 << (63 - n))
+        sig = Signal(x.copy())
+        with pytest.raises(OverflowBoundError):
+            run_parallel(sig, plan_parallel(n, p))
+        assert sig.data.tobytes() == x.tobytes()
+        assert sig.domain == Domain.TIME
+        x[-1] += 1
+        expected = x.copy()
+        fwht_array(expected)
+        got = run_parallel(Signal(x.copy()), plan_parallel(n, p))
+        assert got.data.tobytes() == expected.tobytes()
 
     def test_barrier_count(self):
         phases_seen = []
