@@ -9,9 +9,8 @@ runs as exact float64 Hadamard products, each transforming the top
 index bits of the tile and rotating them to the bottom so that its
 output is contiguous and numpy keeps its BLAS path; float64 data and
 larger int64 tiles run as radix-2 butterflies. Stages above the tile
-run two at a time as radix-4 sweeps over half-tile slices through two
-temporaries, the two halves of the same scratch: half the numpy calls
-of quarter-tile slices, with the same memory. The int64 inverse
+are ``rows_transform``, H_{2**r} along the rows of a (2**r, L) matrix,
+which also runs the thread and disk stage steps. The int64 inverse
 divides by 2**n with a bit test and an arithmetic shift, so neither
 allocates a full-size array. ``wht_bruteforce`` evaluates the defining
 double sum directly and is the independent oracle every fast path is
@@ -83,6 +82,20 @@ class Domain(str, enum.Enum):
         raise BadArguments(f"bad domain {value!r}")
 
 
+def _check_signal_array(arr: np.ndarray) -> None:
+    """Refuse an array that is not 1-D, of 2**n elements, int64 or float64."""
+    if arr.ndim != 1:
+        raise BadArguments("signal data must be one-dimensional")
+    if not is_power_of_two(arr.shape[0]):
+        raise BadArguments(
+            f"signal length {arr.shape[0]} is not a power of two"
+        )
+    if arr.dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
+        raise BadArguments(
+            f"unsupported dtype {arr.dtype}; use int64 or float64"
+        )
+
+
 @dataclass
 class Signal:
     """A 1-D array of 2**n samples tagged with its current domain.
@@ -96,16 +109,7 @@ class Signal:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data)
-        if arr.ndim != 1:
-            raise BadArguments("signal data must be one-dimensional")
-        if not is_power_of_two(arr.shape[0]):
-            raise BadArguments(
-                f"signal length {arr.shape[0]} is not a power of two"
-            )
-        if arr.dtype not in (np.dtype(np.int64), np.dtype(np.float64)):
-            raise BadArguments(
-                f"unsupported dtype {arr.dtype}; use int64 or float64"
-            )
+        _check_signal_array(arr)
         # The in-place kernel works on reshaped views, which need
         # contiguous storage.
         self.data = np.ascontiguousarray(arr)
@@ -212,28 +216,49 @@ def _tile_products(tile: np.ndarray, scratch: np.ndarray,
     np.copyto(tile, src, casting="unsafe")
 
 
-def butterfly(lo: np.ndarray, hi: np.ndarray,
-              tmp: np.ndarray | None = None) -> None:
-    """Replace (lo, hi) by (lo + hi, lo - hi) elementwise, in place.
+def rows_transform(rows, s0: np.ndarray | None = None,
+                   s1: np.ndarray | None = None) -> None:
+    """Apply H_{2**r} along the rows of a (2**r, L) matrix, in place.
 
-    ``lo`` and ``hi`` are disjoint 1-D arrays of one length and dtype.
-    The difference passes through ``tmp``, a 1-D scratch of their dtype,
-    ``tmp.size`` elements at a time. Without it the call allocates its
-    own of at most half a tile, so memory use does not grow with the
-    length and concurrent callers share nothing.
+    ``rows`` is 2**r equal 1-D arrays (a list of views) or a (2**r, L)
+    array; rows i and i + 2**j pair in row bit j, as tiles do in the
+    stages above ``fwht_array``'s tile and runs 2**k apart in a stage
+    step. Row bits run two at a time as radix-4 steps (``_quad``) through
+    ``s0`` and ``s1``, then, for odd r, one radix-2 step (lo, hi) <-
+    (lo + hi, lo - hi) through ``s0``, in column slices of ``s0.size``
+    elements: half-tile slices halve the numpy calls of quarter-tile ones
+    through four temporaries. Every output keeps the operands of the
+    stage-by-stage loop, so results are bit-identical to it. Without
+    scratch the call allocates its own, at most half a tile each, so
+    concurrent callers share nothing.
     """
-    if tmp is None:
-        tmp = np.empty(min(lo.size, TILE_ELEMS // 2), dtype=lo.dtype)
-    step = tmp.size
-    for off in range(0, lo.size, step):
-        end = min(off + step, lo.size)
-        diff = np.subtract(lo[off:end], hi[off:end], out=tmp[: end - off])
-        lo[off:end] += hi[off:end]
-        hi[off:end] = diff
+    count = len(rows)
+    if not is_power_of_two(count):
+        raise BadArguments(f"row count {count} is not a power of two")
+    if s0 is None:
+        s0 = np.empty(min(len(rows[0]), TILE_ELEMS // 2), dtype=rows[0].dtype)
+    if s1 is None and count > 2:
+        s1 = np.empty_like(s0)
+    for off in range(0, len(rows[0]), s0.size):
+        cols = [row[off : off + s0.size] for row in rows]
+        t0 = s0[: cols[0].size]
+        h = 1  # row bits j and j + 1 pair at h = 2**j and 2 * h
+        while 2 * h < count:
+            for i in range(count):
+                if not i & 3 * h:
+                    _quad(cols[i], cols[i + h], cols[i + 2 * h],
+                          cols[i + 3 * h], t0, s1[: t0.size])
+            h <<= 2
+        if 2 * h == count:  # r is odd: the top row bit is left
+            for lo, hi in zip(cols[:h], cols[h:]):
+                np.subtract(lo, hi, out=t0)
+                lo += hi
+                hi[...] = t0
 
 
 def fwht_array(buf: np.ndarray) -> int:
-    """Transform ``buf`` (length 2**n, contiguous) in place.
+    """Transform ``buf`` (length 2**n, contiguous, int64 or float64) in
+    place; any other buffer is refused before an element changes.
 
     Stage k pairs elements at stride 2**k and replaces (a, b) with
     (a + b, a - b). Returns the number of butterflies executed, which is
@@ -257,16 +282,12 @@ def fwht_array(buf: np.ndarray) -> int:
     stage rotates the index bits right by one, so stage s pairs the
     elements that differ in bit s, and after t stages the tile is back
     in natural order (in the scratch when t is odd, copied back once).
-    Stages t .. n-1 run two at a time as radix-4 sweeps over four
-    half-tile slices 2**k apart through two temporaries, the halves of
-    the scratch (``_quad``): half the numpy calls of quarter-tile slices
-    through four, with the same one tile of scratch. A single radix-2
-    sweep over half-tile slices follows when n - t is odd. Each
-    butterfly there sees the same operands as in the plain
-    stage-by-stage loop, so int64 and float64 output is bit-identical to
-    that loop. Scratch is one tile on every path, allocated per call so
+    Stages t .. n-1 are ``rows_transform`` over the buffer viewed as
+    2**(n-t) rows of one tile, its two temporaries the halves of the
+    scratch. Scratch is one tile on every path, allocated per call so
     concurrent callers on disjoint buffers are safe.
     """
+    _check_signal_array(buf)
     if not buf.flags.c_contiguous:
         raise BadArguments("in-place transform needs a contiguous buffer")
     dim = int(buf.shape[0])
@@ -290,21 +311,8 @@ def fwht_array(buf: np.ndarray) -> int:
             src, dst = dst, src
         if t & 1:
             np.copyto(dst, src)
-    s0, s1 = scratch[:half], scratch[half:]
-    k = t
-    while k + 1 < n:
-        stride = 1 << k
-        for base in range(0, dim, stride << 2):
-            for off in range(base, base + stride, half):
-                a, b, c, d = (buf[off + i * stride : off + i * stride + half]
-                              for i in range(4))
-                _quad(a, b, c, d, s0, s1)
-        k += 2
-    if k < n:
-        stride = 1 << k
-        for base in range(0, dim, stride << 1):
-            butterfly(buf[base : base + stride],
-                      buf[base + stride : base + (stride << 1)], s0)
+    if n > t:
+        rows_transform(buf.reshape(-1, size), scratch[:half], scratch[half:])
     return (n << n) >> 1
 
 

@@ -14,9 +14,9 @@ engine's whole configuration. One executor, ``_file_pass``, runs every
 pass: for each task of the step it reads the task's runs into the rows
 of one reused buffer, computes on them in place and writes them back.
 Pass 0's tasks are the superblocks, in a (1, 2**B) buffer; a stage
-pass's tasks are pairs of S-element runs 2**k apart, in a (2, S) buffer,
-butterflied. S is independent of B and bounded by S <= 2**(B-1) so two
-runs fit the memory budget. The paper's two modes are values of S:
+pass's tasks are pairs of S-element runs 2**k apart, in a (2, S) buffer
+(``rows_transform``). S is independent of B and bounded by S <= 2**(B-1)
+so two runs fit the memory budget. The paper's two modes are values of S:
 blocked mode turns the arithmetic into large sequential transfers, and
 entry-wise mode is S = 1, the paper's skip-rule loop: read pt, read
 pt + 2**k, write both, one element per operation.
@@ -28,7 +28,7 @@ as one chunk). ``run_plan`` also checks the int64 bound, chunk by chunk
 on the pass's pool; reads and writes stay on the calling thread, in
 order. Memory stays within the 2**B budget: the pass buffer, plus one
 2**16-element tile (512 KiB) of kernel scratch per worker in pass 0 or
-half a tile of butterfly scratch in a stage pass. Meanwhile the dataset
+half a tile of row scratch in a stage pass. Meanwhile the dataset
 handle writes back behind the passes on a background sync thread, so
 the flush that ends each pass waits only for the last few megabytes.
 
@@ -57,7 +57,7 @@ from itertools import islice
 import numpy as np
 
 from .bits import is_power_of_two
-from .core import TILE_ELEMS, butterfly, fwht_array
+from .core import TILE_ELEMS, fwht_array, rows_transform
 from .dataset import ELEMENT_BYTES, DatasetFile
 from .errors import BadArguments, BadBlockSize, OverflowBoundError
 from .parallel import StagePlan, run_plan, usable_cpus
@@ -190,8 +190,8 @@ def _file_pass(ds: DatasetFile, tasks, buf: np.ndarray, compute,
 def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
     """Run one step of ``plan.steps()`` as one ``_file_pass`` over ``ds``.
 
-    A stage step butterflies each pair of S-element runs through one
-    half-tile scratch for the whole pass. The chunk step runs each
+    A stage step runs ``rows_transform`` on each pair of S-element runs,
+    through one half-tile scratch for the whole pass. The chunk step runs each
     superblock through ``run_plan`` on a pool of 2**p workers (one when
     p = 0), which checks the bound for the whole 2**n transform before
     it changes the superblock; an int64 overflow found in a later
@@ -205,7 +205,7 @@ def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
     if stages.start:  # a stage step; the chunk step starts at stage 0
         tmp = np.empty(min(length, TILE_ELEMS // 2), dtype=ds.dtype)
         _file_pass(ds, tasks, np.empty((2, length), dtype=ds.dtype),
-                   lambda rows: butterfly(*rows, tmp), marker)
+                   lambda rows: rows_transform(rows, tmp), marker)
         return
     n, b = plan.log2_dim, plan.block_log2
     p = max(0, min(usable_cpus().bit_length() - 1, b - 1))

@@ -309,6 +309,8 @@ def noise_walsh_variance_check(
     noise; converges to 2**n * sigma**2 for every zero-mean kind."""
     if trials < 1:
         raise BadArguments(f"trials must be >= 1, got {trials}")
+    if not 0 <= n < 60:  # the range NoisySignalSpec.validate enforces
+        raise BadArguments(f"n must lie in [0, 60), got {n}")
     if not 0 <= sigma < math.inf:
         raise BadArguments(f"sigma must be finite and >= 0, got {sigma}")
     dim = 1 << n

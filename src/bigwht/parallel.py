@@ -2,7 +2,7 @@
 
 ``StagePlan(n, B, S)`` transforms each contiguous chunk of 2**B elements
 on its own (stages 0 .. B-1), then performs each stage k = B .. n-1 as
-butterflies between paired runs of S elements 2**k apart. ``steps()`` is
+``rows_transform`` on paired runs of S elements 2**k apart. ``steps()`` is
 the one walk over that plan: each barrier-separated step as (stages, run
 length, tasks), a task being the tuple of run starts it transforms.
 ``run_plan`` checks each chunk's int64 bound on a thread pool, then
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, Domain, butterfly, check_magnitude_bound, fwht_array
+from .core import (Signal, Domain, check_magnitude_bound, fwht_array,
+                   rows_transform)
 from .errors import BadArguments, InvalidWorkerCount, ValidationError
 
 
@@ -149,7 +150,7 @@ def run_plan(
     and all checks drain before the chunk step, so a refusal raises
     ``OverflowBoundError`` with the buffer untouched. Then each task of
     ``plan.steps()`` is one pool task: ``fwht_array`` on a chunk,
-    ``butterfly`` on a pair of runs. The buffer is shared mutably across
+    ``rows_transform`` on its runs. The buffer is shared mutably across
     the tasks of a step (safe by index disjointness); a full barrier
     separates steps, and ``on_phase_complete(i)`` follows step i. A task
     failure propagates as a single exception after the step drains,
@@ -167,9 +168,9 @@ def run_plan(
     _drain([pool.submit(check_magnitude_bound, buf[c : c + chunk], bound_log2)
             for c in plan.chunks()])
     for step, (_, length, tasks) in enumerate(plan.steps()):
-        kernel = butterfly if step else fwht_array
-        _drain([pool.submit(kernel, *(buf[r : r + length] for r in task))
-                for task in tasks])
+        views = ([buf[r : r + length] for r in task] for task in tasks)
+        _drain([pool.submit(rows_transform, rows) if step
+                else pool.submit(fwht_array, *rows) for rows in views])
         if on_phase_complete is not None:
             on_phase_complete(step)
 

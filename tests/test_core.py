@@ -10,17 +10,18 @@ import numpy as np
 import pytest
 
 from bigwht import core
+from bigwht.bits import sign_array
 from bigwht.core import (
     TILE_ELEMS,
     TILE_LOG2,
     Domain,
     Signal,
-    butterfly,
     check_magnitude_bound,
     fwht_array,
     fwht_inplace,
     inverse_wht_inplace,
     parseval_energy,
+    rows_transform,
     wht_bruteforce,
 )
 from bigwht.errors import (
@@ -172,6 +173,8 @@ def stagewise_fwht(buf):
 
 def tile_boundary_input(n, dtype, seed):
     rng = np.random.default_rng([seed, n])
+    if dtype == "wrapping":  # int64 above the product gate; sums wrap
+        return rng.integers(-(1 << 62), 1 << 62, 1 << n, dtype=np.int64)
     if dtype == np.int64:
         return rng.integers(-(1 << 20), 1 << 20, 1 << n).astype(np.int64)
     return rng.normal(size=1 << n)
@@ -196,12 +199,13 @@ def record_products(monkeypatch):
 class TestTiledKernel:
     """Dimensions below, at and above the tile size TILE_LOG2 = 16."""
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, "wrapping"])
     # Every tile size t = 0 .. 16, so every radix split of the int64
     # product path (16 = 4+4+4+4, 13 = 4+3+3+3, 3 = 2+1, 1 = 1+0) and both
-    # parities of the float64 radix-2 loop, whose odd t ends in the
-    # scratch; n = 19 is one radix-4 sweep plus a radix-2 one, n = 20 two
-    # radix-4 sweeps, n = 21 two plus a radix-2 one, n = 22 three.
+    # parities of the radix-2 loop that float64 and wrapping int64 take,
+    # whose odd t ends in the scratch; n = 19 is one radix-4 sweep plus a
+    # radix-2 one, n = 20 two radix-4 sweeps, n = 21 two plus a radix-2
+    # one, n = 22 three.
     @pytest.mark.parametrize("n", range(23))
     def test_matches_stagewise_loop(self, n, dtype):
         x = tile_boundary_input(n, dtype, 1)
@@ -314,6 +318,7 @@ class TestTiledKernel:
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("length", [1, 5, TILE_ELEMS // 2, TILE_ELEMS + 3])
     def test_butterfly(self, length, dtype):
+        # rows_transform's radix-2 step, r = 1.
         rng = np.random.default_rng(length)
         lo = rng.integers(-1000, 1000, length).astype(dtype)
         hi = rng.integers(-1000, 1000, length).astype(dtype)
@@ -321,9 +326,56 @@ class TestTiledKernel:
         # here ends on a last slice shorter than that.
         for tmp in (None, np.empty(3, dtype=dtype)):
             a, b = lo.copy(), hi.copy()
-            butterfly(a, b, tmp)
+            rows_transform([a, b], tmp)
             assert np.array_equal(a, lo + hi)
             assert np.array_equal(b, lo - hi)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("r", range(7))
+    def test_rows_transform(self, r, dtype):
+        # Every r from the identity to three radix-4 steps, with and
+        # without the radix-2 one, in both forms. Neither column count
+        # divides its scratch: 7 columns through two given 3-element
+        # temporaries, 2**15 + 3 through the call's own half tiles.
+        rng = np.random.default_rng(r)
+        hadamard = sign_array(np.bitwise_and.outer(np.arange(1 << r),
+                                                   np.arange(1 << r)))
+        for length, scratch in ((7, 3), (TILE_ELEMS // 2 + 3, None)):
+            m = rng.integers(-1000, 1000, (1 << r, length)).astype(dtype)
+            # Integer sums far below 2**53: exact in float64 in any order.
+            expected = hadamard.astype(dtype) @ m
+            temporaries = [] if scratch is None else [
+                np.empty(scratch, dtype=dtype) for _ in range(2)]
+            got = m.copy()
+            rows_transform(got, *temporaries)
+            assert np.array_equal(got, expected)
+            rows = [row.copy() for row in m]
+            rows_transform(rows, *temporaries)
+            assert np.array_equal(np.array(rows), expected)
+
+    @pytest.mark.parametrize("count", [0, 3, 6])
+    def test_rows_transform_refuses_row_count(self, count):
+        rows = np.ones((count, 4), dtype=np.int64)
+        with pytest.raises(BadArguments, match="power of two"):
+            rows_transform(rows)
+        assert np.array_equal(rows, np.ones((count, 4), dtype=np.int64))
+
+    # Lengths of whole tiles that are not powers of two (3 * 2**16 and
+    # 5 * 2**17 elements), a short one, an empty buffer, a 2-D one, and a
+    # dtype outside the int64/float64 contract.
+    @pytest.mark.parametrize("buf", [
+        np.arange(3 << 16, dtype=np.int64),
+        np.arange(5 << 17, dtype=np.int64),
+        np.arange(6, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        np.arange(16, dtype=np.int64).reshape(4, 4),
+        np.arange(16, dtype=np.int32),
+    ], ids=["3x2^16", "5x2^17", "6", "empty", "2-D", "int32"])
+    def test_bad_buffer_refused_untouched(self, buf):
+        before = buf.copy()
+        with pytest.raises(BadArguments):
+            fwht_array(buf)
+        assert buf.tobytes() == before.tobytes()
 
 
 class TestInverse:

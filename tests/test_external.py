@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bigwht import dataset, external, parallel, subspace
-from bigwht.core import fwht_array
+from bigwht import core, dataset, external, parallel, subspace
+from bigwht.core import TILE_ELEMS, Signal, fwht_array
 from bigwht.errors import BadArguments, BadBlockSize, IoFailure, OverflowBoundError
 from bigwht.external import (
     pass_io_volume,
@@ -22,7 +22,8 @@ from bigwht.external import (
     run_external_entrywise,
 )
 from bigwht.noisy import extract_above_dataset
-from bigwht.parallel import check_disjoint, total_butterflies
+from bigwht.parallel import (check_disjoint, plan_parallel, run_parallel,
+                             total_butterflies)
 
 from conftest import set_cpus
 
@@ -712,6 +713,40 @@ class TestThreadedPassZero:
         assert usable_cpus() == 4
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cpus() == 1
+
+
+class TestOneRowTransform:
+    def test_every_stage_loop_runs_it(self, tmp_path, monkeypatch):
+        # The kernel's stages above the tile, the thread schedule's stage
+        # steps and the disk stage passes all run core.rows_transform,
+        # each through its own module's binding; one CPU keeps pass 0 to
+        # a single chunk, so the disk run records its stage passes only.
+        set_cpus(monkeypatch, 1)
+        calls = []
+        original = core.rows_transform
+        for module in (core, parallel, external):
+            def recording(rows, *scratch, name=module.__name__):
+                calls.append((name, len(rows), len(rows[0])))
+                original(rows, *scratch)
+
+            monkeypatch.setattr(module, "rows_transform", recording)
+
+        fwht_array(np.zeros(1 << 18, dtype=np.int64))
+        assert calls == [("bigwht.core", 4, TILE_ELEMS)]
+        calls.clear()
+        run_parallel(Signal(np.zeros(1 << 12, dtype=np.int64)),
+                     plan_parallel(12, 1))
+        # Stage 11 as one task per worker, on a pair of 2**10-element runs.
+        assert calls == [("bigwht.parallel", 2, 1 << 10)] * 2
+        calls.clear()
+        path, data = make_dataset(tmp_path, 12)
+        with dataset.open_validated(path) as ds:
+            run_external_blocked(ds, 8)
+            got = ds.read_block(0, 1 << 12)
+        # Stages 8 .. 11, 16 pairs of 2**7-element runs each.
+        assert calls == [("bigwht.external", 2, 1 << 7)] * 64
+        fwht_array(data)
+        assert got.tobytes() == data.tobytes()
 
 
 class TestMemoryBudget:

@@ -385,3 +385,14 @@ class TestNoiseVarianceLaw:
     def test_trials_validated(self):
         with pytest.raises(BadArguments):
             noise_walsh_variance_check(8, 1.0, NoiseKind.UNIFORM, 0)
+
+    # NoisySignalSpec's range: n = 60 would ask numpy for an array of
+    # 2**60 elements, and a negative n for a negative shift.
+    @pytest.mark.parametrize("n", [-1, 60])
+    def test_n_out_of_range_refused(self, n):
+        with pytest.raises(BadArguments, match=r"\[0, 60\)"):
+            noise_walsh_variance_check(n, 1.0, NoiseKind.UNIFORM, 1)
+
+    def test_n_zero_is_one_sample(self):
+        # H_1 is the identity, so the estimate is the noise's own variance.
+        assert noise_walsh_variance_check(0, 1.0, NoiseKind.RADEMACHER, 3) == 1.0

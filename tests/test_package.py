@@ -101,6 +101,20 @@ def test_only_core_and_parallel_check_the_bound():
     assert touching == ["core.py", "parallel.py"]
 
 
+def test_only_rows_transform_runs_quad():
+    # Stages above a tile have one loop, core.rows_transform, and _quad is
+    # its radix-4 step; a second function reaching _quad would be a second
+    # stage loop grown back beside it.
+    reaching = []
+    for path in sorted(Path(bigwht.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reaching += [f"{path.name} {getattr(node, 'name', '<module>')}"
+                     for node in tree.body
+                     if getattr(node, "name", None) != "_quad"
+                     and "_quad" in _referenced_names(node)]
+    assert reaching == ["core.py rows_transform"]
+
+
 def test_only_dataset_and_engine_touch_pass_progress():
     # An interrupted transform's marker is written by the engine and
     # judged by DatasetFile.domain alone; a module that read it could grow

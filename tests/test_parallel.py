@@ -187,9 +187,9 @@ class TestRun:
     def test_worker_failure_propagates(self, monkeypatch):
         import bigwht.parallel as par
 
-        def explode(lo, hi):
+        def explode(rows, *scratch):
             raise RuntimeError("injected worker failure")
 
-        monkeypatch.setattr(par, "butterfly", explode)
+        monkeypatch.setattr(par, "rows_transform", explode)
         with pytest.raises(RuntimeError, match="injected"):
             run_parallel(Signal(np.zeros(64, dtype=np.int64)), plan_parallel(6, 2))
