@@ -80,6 +80,13 @@ def cli(ctx, quiet, json_output, force):
     ctx.obj = {"quiet": quiet, "json": json_output, "force": force}
 
 
+def _seed_option(help_text: str):
+    """The --seed every command that uses randomness takes: an integer
+    >= 0, default 0."""
+    return click.option("--seed", type=click.IntRange(min=0), default=0,
+                        show_default=True, help=help_text)
+
+
 def _adopt_if_forced(ctx, path: str, assumed_domain: str) -> None:
     """Refuse to guess dataset metadata from the file size unless --force."""
     if os.path.exists(dataset.sidecar_path(path)) or not ctx.obj.get("force"):
@@ -119,8 +126,7 @@ def _parse_support(text: str) -> tuple[tuple[int, float], ...]:
               default="none", show_default=True)
 @click.option("--sigma", type=float, default=0.0, show_default=True,
               help="Per-sample noise standard deviation.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Noise seed.")
+@_seed_option("Noise seed.")
 @click.option("--out", "out_path", required=True,
               help="Output dataset path (the noisy signal).")
 @click.option("--clean-out", "clean_path", default=None,
@@ -270,6 +276,10 @@ def oracle(ctx, in_path, out_path, expect_path, limit):
 @click.pass_context
 def extract(ctx, in_path, threshold, out_path):
     """List Walsh coefficients above a threshold as CSV (index,coefficient)."""
+    if out_path and os.path.realpath(out_path) in (
+            os.path.realpath(in_path),
+            os.path.realpath(dataset.sidecar_path(in_path))):
+        raise click.UsageError("--out names the input dataset or its sidecar")
     _adopt_if_forced(ctx, in_path, "walsh")
     with dataset.open_validated(in_path) as ds:
         hits = noisy.extract_above_dataset(ds, threshold)
@@ -400,14 +410,14 @@ def _parse_size(text: str) -> int:
 @click.option("--csv", "csv_path", default=None, help="Also write CSV here.")
 @click.option("--no-raw", is_flag=True,
               help="Skip the separate raw read/write measurements.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Content seed.")
+@_seed_option("Content seed.")
 @click.pass_context
 def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed):
     """Measure copy time vs block size on the local disk."""
-    file_bytes = int(file_gb * (1 << 30))
-    if file_bytes < 1:
+    size = file_gb * (1 << 30)
+    if not 1 <= size < math.inf:  # nan fails every comparison
         raise BadArguments("--file-gb must be positive")
+    file_bytes = int(size)
     try:
         sizes = [_parse_size(tok) for tok in blocks.split(",") if tok.strip()]
     except ValueError:
@@ -454,8 +464,7 @@ def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed)
 @click.option("--gen-dout", type=int, default=None,
               help="Generate a random full-rank matrix of this many rows at "
                    "--matrix first (file must not exist).")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Matrix seed.")
+@_seed_option("Matrix seed.")
 @click.pass_context
 def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
     """Fold a signal through a GF(2) linear reduction (one streaming pass)."""
@@ -490,8 +499,7 @@ def fold(ctx, in_path, matrix_path, out_path, gen_dout, seed):
 @click.option("--machines", type=int, required=True,
               help="Independent subspaces per trial.")
 @click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Simulation seed.")
+@_seed_option("Simulation seed.")
 @click.option("--sample-count", type=int, default=None,
               help="Sample this many indices instead of enumerating "
                    "(required above d_in = 24).")

@@ -10,11 +10,11 @@ index bits of the tile and rotating them to the bottom so that its
 output is contiguous and numpy keeps its BLAS path; float64 data and
 larger int64 tiles run as radix-2 butterflies. Stages above the tile
 are ``rows_transform``, H_{2**r} along the rows of a (2**r, L) matrix,
-which also runs the thread and disk stage steps. The int64 inverse
-divides by 2**n with a bit test and an arithmetic shift, so neither
-allocates a full-size array. ``wht_bruteforce`` evaluates the defining
-double sum directly and is the independent oracle every fast path is
-checked against.
+which also runs the thread and disk stage steps and sizes its own
+scratch. The int64 inverse divides by 2**n with a bit test and an
+arithmetic shift, so neither allocates a full-size array.
+``wht_bruteforce`` evaluates the defining double sum directly and is the
+independent oracle every fast path is checked against.
 """
 
 from __future__ import annotations
@@ -216,31 +216,32 @@ def _tile_products(tile: np.ndarray, scratch: np.ndarray,
     np.copyto(tile, src, casting="unsafe")
 
 
-def rows_transform(rows, s0: np.ndarray | None = None,
-                   s1: np.ndarray | None = None) -> None:
+def rows_transform(rows) -> None:
     """Apply H_{2**r} along the rows of a (2**r, L) matrix, in place.
 
     ``rows`` is 2**r equal 1-D arrays (a list of views) or a (2**r, L)
     array; rows i and i + 2**j pair in row bit j, as tiles do in the
     stages above ``fwht_array``'s tile and runs 2**k apart in a stage
     step. Row bits run two at a time as radix-4 steps (``_quad``) through
-    ``s0`` and ``s1``, then, for odd r, one radix-2 step (lo, hi) <-
-    (lo + hi, lo - hi) through ``s0``, in column slices of ``s0.size``
-    elements: half-tile slices halve the numpy calls of quarter-tile ones
-    through four temporaries. Every output keeps the operands of the
-    stage-by-stage loop, so results are bit-identical to it. Without
-    scratch the call allocates its own, at most half a tile each, so
-    concurrent callers share nothing.
+    two temporaries, then, for odd r, one radix-2 step (lo, hi) <-
+    (lo + hi, lo - hi) through the first, in column slices of min(L,
+    TILE_ELEMS / 2) elements: half-tile slices halve the numpy calls of
+    quarter-tile ones through four temporaries. Every output keeps the
+    operands of the stage-by-stage loop, so results are bit-identical to
+    it. The call allocates its temporaries itself, at most half a tile
+    each (one when r = 1), so concurrent callers share nothing.
     """
     count = len(rows)
     if not is_power_of_two(count):
         raise BadArguments(f"row count {count} is not a power of two")
-    if s0 is None:
-        s0 = np.empty(min(len(rows[0]), TILE_ELEMS // 2), dtype=rows[0].dtype)
-    if s1 is None and count > 2:
-        s1 = np.empty_like(s0)
-    for off in range(0, len(rows[0]), s0.size):
-        cols = [row[off : off + s0.size] for row in rows]
+    size = min(len(rows[0]), TILE_ELEMS // 2)
+    # One block for both temporaries: after fwht_array's tile stages it
+    # is the size of the tile scratch just freed, so malloc reuses that
+    # memory. Two blocks grew the resident set by up to a tile per thread.
+    scratch = np.empty(size * (2 if count > 2 else 1), dtype=rows[0].dtype)
+    s0, s1 = scratch[:size], scratch[size:]
+    for off in range(0, len(rows[0]), size):
+        cols = [row[off : off + size] for row in rows]
         t0 = s0[: cols[0].size]
         h = 1  # row bits j and j + 1 pair at h = 2**j and 2 * h
         while 2 * h < count:
@@ -256,50 +257,36 @@ def rows_transform(rows, s0: np.ndarray | None = None,
                 hi[...] = t0
 
 
-def fwht_array(buf: np.ndarray) -> int:
-    """Transform ``buf`` (length 2**n, contiguous, int64 or float64) in
-    place; any other buffer is refused before an element changes.
+def _transform_tiles(buf: np.ndarray, t: int) -> None:
+    """Stages 0 .. t-1 of ``buf`` on each tile of 2**t elements, in place,
+    in constant geometry (Pease), through one tile of scratch that is
+    freed on return.
 
-    Stage k pairs elements at stride 2**k and replaces (a, b) with
-    (a + b, a - b). Returns the number of butterflies executed, which is
-    always n * 2**(n-1).
-
-    Stages below TILE_LOG2 run tile by tile, on tiles of 2**t elements
-    (t = min(n, TILE_LOG2)), in constant geometry (Pease). An int64 tile
-    whose max |x| is below 2**(53 - t) runs as float64 Hadamard products
-    (``_tile_products``): every partial sum of its t stages is then an
-    integer below 2**53, which float64 holds exactly, so the result is
-    the exact int64 one, bit for bit. Each product step transforms the
-    top index bits and rotates them to the bottom, so that it writes a
-    contiguous output and numpy runs it through BLAS; each product is at
-    most 1024 x 16 x 16 multiply-adds, small enough that OpenBLAS runs it
-    on the calling thread. float64 buffers, whose contract is bit-identity
-    with the stage-by-stage loop that BLAS's summation order would
-    break, and int64 tiles at or above the bound run radix-2 stages:
-    each butterflies neighbours 2i, 2i + 1 of the source into slots i
-    and i + 2**(t-1) of the destination, two 1-D numpy calls, and source
-    and destination swap between the tile and one tile of scratch. A
-    stage rotates the index bits right by one, so stage s pairs the
-    elements that differ in bit s, and after t stages the tile is back
-    in natural order (in the scratch when t is odd, copied back once).
-    Stages t .. n-1 are ``rows_transform`` over the buffer viewed as
-    2**(n-t) rows of one tile, its two temporaries the halves of the
-    scratch. Scratch is one tile on every path, allocated per call so
-    concurrent callers on disjoint buffers are safe.
+    An int64 tile whose max |x| is below 2**(53 - t) runs as float64
+    Hadamard products (``_tile_products``): every partial sum of its t
+    stages is then an integer below 2**53, which float64 holds exactly,
+    so the result is the exact int64 one, bit for bit. Each product step
+    transforms the top index bits and rotates them to the bottom, so that
+    it writes a contiguous output and numpy runs it through BLAS; each
+    product is at most 1024 x 16 x 16 multiply-adds, small enough that
+    OpenBLAS runs it on the calling thread. float64 buffers, whose
+    contract is bit-identity with the stage-by-stage loop that BLAS's
+    summation order would break, and int64 tiles at or above the bound
+    run radix-2 stages: each butterflies neighbours 2i, 2i + 1 of the
+    source into slots i and i + 2**(t-1) of the destination, two 1-D
+    numpy calls, and source and destination swap between the tile and
+    the scratch. A stage rotates the index bits right by one, so stage s
+    pairs the elements that differ in bit s, and after t stages the tile
+    is back in natural order (in the scratch when t is odd, copied back
+    once).
     """
-    _check_signal_array(buf)
-    if not buf.flags.c_contiguous:
-        raise BadArguments("in-place transform needs a contiguous buffer")
-    dim = int(buf.shape[0])
-    n = dim.bit_length() - 1
-    t = min(n, TILE_LOG2)
     size = 1 << t
     half = size >> 1
     scratch = np.empty(size, dtype=buf.dtype)
     products = buf.dtype == np.int64
     radices = _radix_split(t)
     exact_below = 1 << (_FLOAT_EXACT_LOG2 - t)
-    for start in range(0, dim, size):
+    for start in range(0, buf.size, size):
         tile = buf[start : start + size]
         if products and max(int(tile.max()), -int(tile.min())) < exact_below:
             _tile_products(tile, scratch.view(np.float64), radices)
@@ -311,8 +298,34 @@ def fwht_array(buf: np.ndarray) -> int:
             src, dst = dst, src
         if t & 1:
             np.copyto(dst, src)
+
+
+def fwht_array(buf: np.ndarray) -> int:
+    """Transform ``buf`` (length 2**n, contiguous, int64 or float64) in
+    place; any other buffer is refused before an element changes.
+
+    Stage k pairs elements at stride 2**k and replaces (a, b) with
+    (a + b, a - b). Returns the number of butterflies executed, which is
+    always n * 2**(n-1).
+
+    Stages 0 .. t-1 (t = min(n, TILE_LOG2)) run tile by tile as
+    ``_transform_tiles``, and stages t .. n-1 as ``rows_transform`` over
+    the buffer viewed as 2**(n-t) rows of one tile. The first frees its
+    tile of scratch before the second allocates its two half tiles, so
+    scratch is one tile on every path, allocated per call so concurrent
+    callers on disjoint buffers are safe.
+    """
+    _check_signal_array(buf)
+    if not buf.flags.c_contiguous:
+        raise BadArguments("in-place transform needs a contiguous buffer")
+    n = buf.size.bit_length() - 1
+    t = min(n, TILE_LOG2)
+    # The row view is made first, so that no allocation falls between the
+    # tile scratch's free and rows_transform's allocation of its block.
+    rows = buf.reshape(-1, 1 << t)
+    _transform_tiles(buf, t)
     if n > t:
-        rows_transform(buf.reshape(-1, size), scratch[:half], scratch[half:])
+        rows_transform(rows)
     return (n << n) >> 1
 
 

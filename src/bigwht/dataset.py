@@ -149,7 +149,8 @@ class IoStats:
 class DatasetFile:
     """Handle to an on-disk signal. Every block moves through
     ``_transfer`` between the caller's array and the page cache, with no
-    copy in between.
+    copy in between. Opening one is the payload-size check: a payload
+    that is missing or differs from the sidecar's size is SizeMismatch.
 
     ``read_block`` may run on several threads at once (the streaming fold
     reads one handle from a worker per CPU); every other method belongs
@@ -169,7 +170,10 @@ class DatasetFile:
         self._syncer: ThreadPoolExecutor | None = None  # made on first use
         self._sync = None  # Future of the running background fdatasync
         self._expected_bytes = ELEMENT_BYTES << self.log2_dim
-        actual = os.path.getsize(path)
+        try:
+            actual = os.path.getsize(path)
+        except OSError as exc:
+            raise SizeMismatch(f"payload {path} is missing: {exc}") from exc
         if actual != self._expected_bytes:
             raise SizeMismatch(
                 f"{path}: payload is {actual} bytes, sidecar implies "
@@ -400,13 +404,9 @@ def create(
 
 
 def open_validated(path: str) -> DatasetFile:
-    """Open an existing dataset, verifying sidecar and payload size agree."""
-    meta = _read_sidecar(path)
-    try:
-        os.path.getsize(path)
-    except OSError as exc:
-        raise SizeMismatch(f"payload {path} is missing: {exc}") from exc
-    return DatasetFile(path, meta)
+    """Open an existing dataset; the handle checks that the payload's size
+    matches the sidecar."""
+    return DatasetFile(path, _read_sidecar(path))
 
 
 def adopt(path: str, element_kind: str, domain: str) -> int:
@@ -441,17 +441,14 @@ def adopt(path: str, element_kind: str, domain: str) -> int:
 def write_signal(path: str, data: np.ndarray, domain: str = "time") -> None:
     """Create a dataset holding ``data`` (int64 or float64, length 2**n)."""
     arr = np.asarray(data)
-    kind = {np.dtype(np.int64): "int64", np.dtype(np.float64): "float64"}.get(
-        arr.dtype
-    )
-    if kind is None:
+    if arr.dtype not in _DTYPES.values():
         raise BadArguments(f"unsupported dtype {arr.dtype}")
     # Refuse before create, which would leave a zero-filled dataset behind.
     if arr.ndim != 1 or not is_power_of_two(arr.size):
         raise BadArguments(
             f"need a 1-D array of power-of-two length, got shape {arr.shape}"
         )
-    ds = create(path, arr.size.bit_length() - 1, kind, domain=domain)
+    ds = create(path, arr.size.bit_length() - 1, arr.dtype.name, domain=domain)
     try:
         ds.write_block(0, arr)
         ds.flush()

@@ -26,11 +26,12 @@ schedule, 2**p workers for the process's usable CPUs (p = floor(log2
 CPUs), capped at B - 1; p = 0 is one worker running the whole superblock
 as one chunk). ``run_plan`` also checks the int64 bound, chunk by chunk
 on the pass's pool; reads and writes stay on the calling thread, in
-order. Memory stays within the 2**B budget: the pass buffer, plus one
-2**16-element tile (512 KiB) of kernel scratch per worker in pass 0 or
-half a tile of row scratch in a stage pass. Meanwhile the dataset
-handle writes back behind the passes on a background sync thread, so
-the flush that ends each pass waits only for the last few megabytes.
+order. Memory stays within the 2**B budget: the pass buffer, plus the
+kernel's own scratch, one 2**16-element tile (512 KiB) per worker in
+pass 0 or at most half a tile (256 KiB) per pair of runs in a stage
+pass. Meanwhile the dataset handle writes back behind the passes on a
+background sync thread, so the flush that ends each pass waits only for
+the last few megabytes.
 
 No marker is written before the run's first payload write, so a run that
 is refused or fails before then (say, on the first superblock's read or
@@ -57,7 +58,7 @@ from itertools import islice
 import numpy as np
 
 from .bits import is_power_of_two
-from .core import TILE_ELEMS, fwht_array, rows_transform
+from .core import fwht_array, rows_transform
 from .dataset import ELEMENT_BYTES, DatasetFile
 from .errors import BadArguments, BadBlockSize, OverflowBoundError
 from .parallel import StagePlan, run_plan, usable_cpus
@@ -190,22 +191,22 @@ def _file_pass(ds: DatasetFile, tasks, buf: np.ndarray, compute,
 def _run_pass(ds: DatasetFile, plan: StagePlan, step, marker: dict) -> None:
     """Run one step of ``plan.steps()`` as one ``_file_pass`` over ``ds``.
 
-    A stage step runs ``rows_transform`` on each pair of S-element runs,
-    through one half-tile scratch for the whole pass. The chunk step runs each
-    superblock through ``run_plan`` on a pool of 2**p workers (one when
-    p = 0), which checks the bound for the whole 2**n transform before
-    it changes the superblock; an int64 overflow found in a later
-    superblock undoes the superblocks already written, through the same
-    buffer. The undo is exact: H * H = 2**B * I, and these values passed
-    the bound, so each transformed value is a multiple of 2**B and the
-    arithmetic shift by B divides it exactly. A kill in the undo leaves
-    ``writing: true``, which every later run refuses.
+    A stage step hands ``rows_transform``, which sizes its own scratch,
+    to ``_file_pass`` as the compute on each pair of S-element runs. The
+    chunk step runs each superblock through ``run_plan`` on a pool of
+    2**p workers (one when p = 0), which checks the bound for the whole
+    2**n transform before it changes the superblock; an int64 overflow
+    found in a later superblock undoes the superblocks already written,
+    through the same buffer. The undo is exact: H * H = 2**B * I, and
+    these values passed the bound, so each transformed value is a
+    multiple of 2**B and the arithmetic shift by B divides it exactly. A
+    kill in the undo leaves ``writing: true``, which every later run
+    refuses.
     """
     stages, length, tasks = step
     if stages.start:  # a stage step; the chunk step starts at stage 0
-        tmp = np.empty(min(length, TILE_ELEMS // 2), dtype=ds.dtype)
         _file_pass(ds, tasks, np.empty((2, length), dtype=ds.dtype),
-                   lambda rows: rows_transform(rows, tmp), marker)
+                   rows_transform, marker)
         return
     n, b = plan.log2_dim, plan.block_log2
     p = max(0, min(usable_cpus().bit_length() - 1, b - 1))

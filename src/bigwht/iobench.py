@@ -44,13 +44,15 @@ class CopyMeasurement:
 
 @dataclass
 class BenchRow:
+    """One block size's measurements; a failed row keeps them None."""
+
     block_bytes: int
-    copy_seconds: float | None
-    copy_mbps: float | None
-    read_mbps: float | None
-    write_mbps: float | None
-    transfers: int | None
     direct_io: bool
+    copy_seconds: float | None = None
+    copy_mbps: float | None = None
+    read_mbps: float | None = None
+    write_mbps: float | None = None
+    transfers: int | None = None
     capped_transfer_bytes: int | None = None
     warnings: list[str] = field(default_factory=list)
     error: str | None = None
@@ -212,19 +214,18 @@ def measure_copy(
     file_bytes: int,
     block_bytes: int,
     direct_io: bool = False,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> CopyMeasurement:
     """Copy a freshly written file block-by-block and time it.
 
-    The clock covers the block loop plus the final durability flush. The
-    copy is checksum-verified against the source after the clock stops;
-    both files are deleted before returning.
+    ``seed`` seeds the source file's pseudorandom content (default 0, as
+    the CLI's --seed). The clock covers the block loop plus the final
+    durability flush. The copy is checksum-verified against the source
+    after the clock stops; both files are deleted before returning.
     """
     if file_bytes < 1 or block_bytes < 1:
         raise BadArguments("file_bytes and block_bytes must be positive")
     _check_scratch(directory, 2 * file_bytes)
-    if seed is None:
-        seed = int.from_bytes(os.urandom(4), "little")
     transfer = min(block_bytes, MAX_TRANSFER_BYTES)
     warnings: list[str] = []
     with tempfile.TemporaryDirectory(prefix="iobench_", dir=directory,
@@ -267,18 +268,17 @@ def sweep(
     file_bytes: int,
     block_sizes: list[int] | tuple[int, ...] = DEFAULT_BLOCK_SIZES,
     direct_io: bool = False,
-    seed: int | None = None,
+    seed: int = 0,
     measure_raw: bool = True,
 ) -> IoBenchReport:
     """Run the copy measurement per block size; failures don't abort the
-    sweep, they land in the row's error field."""
+    sweep, they land in the row's error field. Block i's files are seeded
+    from ``seed`` + 3i (default 0, as the CLI's --seed)."""
     sizes = list(dict.fromkeys(block_sizes))  # dedupe, keep order
     if not sizes:
         raise BadArguments("block size list is empty")
     if file_bytes < 1:
         raise BadArguments("file_bytes must be positive")
-    if seed is None:
-        seed = int.from_bytes(os.urandom(4), "little")
     rows = []
     for i, block in enumerate(sizes):
         try:
@@ -305,18 +305,8 @@ def sweep(
                 )
             )
         except (OSError, IoFailure, DiskFull) as exc:
-            rows.append(
-                BenchRow(
-                    block_bytes=block,
-                    copy_seconds=None,
-                    copy_mbps=None,
-                    read_mbps=None,
-                    write_mbps=None,
-                    transfers=None,
-                    direct_io=direct_io,
-                    error=str(exc),
-                )
-            )
+            rows.append(BenchRow(block_bytes=block, direct_io=direct_io,
+                                 error=str(exc)))
     report = IoBenchReport(
         file_bytes=file_bytes,
         direct_io=direct_io,

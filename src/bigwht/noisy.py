@@ -184,8 +184,10 @@ def snr(sig: Signal, sigma: float) -> SnrReport:
     """SNR = |x^|**2 / (2**n * sigma'**2) with sigma'**2 = 2**n * sigma**2.
 
     Accepts the signal in either domain; the Walsh energy of a time-domain
-    signal is 2**n times its time-domain energy (Parseval). sigma = 0 is
-    reported as infinite SNR rather than raising.
+    signal is 2**n times its time-domain energy (Parseval). A noise
+    variance of 0.0, from sigma = 0 or from a sigma so small that
+    2**n * sigma**2 underflows, is reported as infinite SNR rather than
+    raising.
     """
     if not 0 <= sigma < math.inf:
         raise BadArguments(f"sigma must be finite and >= 0, got {sigma}")
@@ -203,17 +205,8 @@ def snr(sig: Signal, sigma: float) -> SnrReport:
             f"sigma = {sigma} with n = {n} makes the Walsh noise variance "
             f"2**n * sigma**2 overflow"
         )
-    if sigma == 0:
-        return SnrReport(
-            snr_linear=math.inf,
-            snr_db=math.inf,
-            signal_energy=energy,
-            noise_walsh_variance=0.0,
-            significance_threshold_db=thr_e,
-            significance_threshold_db_base2=thr_2,
-            infinite=True,
-        )
-    linear = energy / (dim * noise_var)
+    infinite = noise_var == 0.0
+    linear = math.inf if infinite else energy / (dim * noise_var)
     return SnrReport(
         snr_linear=linear,
         snr_db=-math.inf if linear == 0 else 10.0 * math.log10(linear),
@@ -221,6 +214,7 @@ def snr(sig: Signal, sigma: float) -> SnrReport:
         noise_walsh_variance=noise_var,
         significance_threshold_db=thr_e,
         significance_threshold_db_base2=thr_2,
+        infinite=infinite,
     )
 
 

@@ -92,6 +92,66 @@ class TestRefusedOutput:
         assert sorted(os.listdir(workdir)) == before
 
 
+class TestRefusedArguments:
+    """A refused argument ends in a one-line diagnostic, before any work,
+    and changes and leaves no file."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for path in ("X", "T"):
+            assert run(["gen", "--n", "6", "--support", "3:64",
+                        "--out", path]) == 0
+        assert run(["transform", "mem", "--in", "X"]) == 0
+        Path("M").write_text("100000\n010000\n")
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, code", [
+        # extract --out onto its own input payload or sidecar.
+        (["extract", "--in", "X", "--threshold", "1", "--out", "X"], 1),
+        (["extract", "--in", "X", "--threshold", "1",
+          "--out", "./X.meta.json"], 1),
+        # A negative --seed, on every command that takes one.
+        (["gen", "--n", "4", "--noise", "gaussian", "--sigma", "1",
+          "--seed", "-1", "--out", "G"], 1),
+        (["coverage", "--din", "4", "--dout", "2", "--machines", "2",
+          "--seed", "-1"], 1),
+        (["iobench", "--dir", ".", "--file-gb", "0.001", "--seed", "-1"], 1),
+        (["fold", "--in", "T", "--matrix", "N", "--out", "F",
+          "--gen-dout", "2", "--seed", "-1"], 1),
+        # --file-gb that is not a finite positive size.
+        (["iobench", "--dir", ".", "--file-gb", "nan"], 3),
+        (["iobench", "--dir", ".", "--file-gb", "inf"], 3),
+        (["iobench", "--dir", ".", "--file-gb", "1e-12"], 3),
+        (["transform", "ext", "--in", "T", "-b", "4",
+          "--io-block-bytes", "12"], 3),
+        (["oracle", "--in", "T"], 1),
+        (["fold", "--in", "T", "--matrix", "M", "--out", "F",
+          "--gen-dout", "2"], 3),
+        (["gen", "--n", "4", "--support", "3-5", "--out", "G"], 1),
+    ], ids=["extract-onto-payload", "extract-onto-sidecar", "gen-seed",
+            "coverage-seed", "iobench-seed", "fold-seed", "file-gb-nan",
+            "file-gb-inf", "file-gb-tiny", "io-block-bytes-12",
+            "oracle-no-output", "gen-dout-onto-matrix", "support-dash"])
+    def test_refused(self, capsys, workdir, monkeypatch, argv, code):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before refusing the arguments")
+
+        for name in ("noisy.extract_above_dataset", "noisy.gen",
+                     "iobench.sweep", "subspace.coverage_simulate",
+                     "subspace.random_full_rank", "external.run_external_blocked",
+                     "cli.wht_bruteforce"):
+            monkeypatch.setattr(f"bigwht.{name}", no_work)
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        got, out, err = run_capture(capsys, argv)
+        assert got == code
+        assert out == ""
+        assert "Traceback" not in err
+        assert re.match(r"(Error|error): \S", err.splitlines()[-1])
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
 class TestForce:
     def test_bare_payload_refused_without_force(self, capsys, tmp_path):
         bare = str(tmp_path / "bare.bin")
@@ -564,6 +624,20 @@ class TestExtractAndSnr:
         doc = json.loads(out)
         assert doc["snr_linear"] == pytest.approx(1.0)
         assert doc["snr_db"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_snr_underflowing_sigma_is_infinite(self, capsys, tmp_path):
+        # 2**6 * (1e-200)**2 underflows to 0.0, which reads as sigma = 0.
+        path = str(tmp_path / "c.bin")
+        dataset.write_signal(path, np.ones(64, dtype=np.int64))
+        docs = []
+        for sigma in ("1e-200", "0"):
+            code, out, _ = run_capture(capsys, ["--json", "snr", "--in", path,
+                                                "--sigma", sigma])
+            assert code == 0
+            docs.append(json.loads(out))
+        for doc in docs:
+            assert (doc["snr_linear"], doc["snr_db"], doc["infinite"],
+                    doc["noise_walsh_variance"]) == ("inf", "inf", True, 0.0)
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "1e200"])
     def test_snr_non_finite_sigma_refused(self, capsys, tmp_path, sigma):

@@ -322,35 +322,32 @@ class TestTiledKernel:
         rng = np.random.default_rng(length)
         lo = rng.integers(-1000, 1000, length).astype(dtype)
         hi = rng.integers(-1000, 1000, length).astype(dtype)
-        # Its own scratch, and a given one of 3 elements: every length
-        # here ends on a last slice shorter than that.
-        for tmp in (None, np.empty(3, dtype=dtype)):
-            a, b = lo.copy(), hi.copy()
-            rows_transform([a, b], tmp)
-            assert np.array_equal(a, lo + hi)
-            assert np.array_equal(b, lo - hi)
+        # The call sizes its scratch to min(length, half a tile), so
+        # TILE_ELEMS + 3 ends on a 3-element last slice.
+        a, b = lo.copy(), hi.copy()
+        rows_transform([a, b])
+        assert np.array_equal(a, lo + hi)
+        assert np.array_equal(b, lo - hi)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     @pytest.mark.parametrize("r", range(7))
     def test_rows_transform(self, r, dtype):
         # Every r from the identity to three radix-4 steps, with and
-        # without the radix-2 one, in both forms. Neither column count
-        # divides its scratch: 7 columns through two given 3-element
-        # temporaries, 2**15 + 3 through the call's own half tiles.
+        # without the radix-2 one, in both forms: 7 columns in one slice,
+        # and 2**15 + 3, which ends on a 3-column last slice of the
+        # call's half-tile temporaries.
         rng = np.random.default_rng(r)
         hadamard = sign_array(np.bitwise_and.outer(np.arange(1 << r),
                                                    np.arange(1 << r)))
-        for length, scratch in ((7, 3), (TILE_ELEMS // 2 + 3, None)):
+        for length in (7, TILE_ELEMS // 2 + 3):
             m = rng.integers(-1000, 1000, (1 << r, length)).astype(dtype)
             # Integer sums far below 2**53: exact in float64 in any order.
             expected = hadamard.astype(dtype) @ m
-            temporaries = [] if scratch is None else [
-                np.empty(scratch, dtype=dtype) for _ in range(2)]
             got = m.copy()
-            rows_transform(got, *temporaries)
+            rows_transform(got)
             assert np.array_equal(got, expected)
             rows = [row.copy() for row in m]
-            rows_transform(rows, *temporaries)
+            rows_transform(rows)
             assert np.array_equal(np.array(rows), expected)
 
     @pytest.mark.parametrize("count", [0, 3, 6])

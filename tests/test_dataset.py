@@ -282,6 +282,22 @@ class TestOpenValidated:
         with pytest.raises(SizeMismatch):
             dataset.open_validated(path)
 
+    @pytest.mark.parametrize("override, match", [
+        (None, "not a JSON object"),
+        ({"format_version": 2}, "format_version 2"),
+        ({"format_version": None}, "format_version None"),
+        ({"log2_dim": -1}, "log2_dim -1"),
+        ({"log2_dim": "3"}, "log2_dim '3'"),
+    ], ids=["list", "version-2", "no-version", "negative-n", "string-n"])
+    def test_refused_sidecar(self, path, override, match):
+        dataset.create(path, 3, "int64").close()
+        sidecar = Path(dataset.sidecar_path(path))
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(
+            [meta] if override is None else {**meta, **override}))
+        with pytest.raises(BadMetadata, match=match):
+            dataset.open_validated(path)
+
 
 class TestMetadataUpdates:
     def test_domain_update_persists(self, path):
@@ -450,6 +466,13 @@ class TestHelpers:
         # zero-filled payload or sidecar behind.
         with pytest.raises(BadArguments):
             dataset.write_signal(str(tmp_path / "data.bin"), data)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, ">i8"])
+    def test_write_signal_refuses_dtype_unwritten(self, tmp_path, dtype):
+        with pytest.raises(BadArguments, match="unsupported dtype"):
+            dataset.write_signal(str(tmp_path / "data.bin"),
+                                 np.zeros(4, dtype=dtype))
         assert os.listdir(tmp_path) == []
 
     def test_fault_hook_fires(self, path):

@@ -77,6 +77,15 @@ class TestGen:
         walsh = fwht_inplace(clean.copy())
         assert walsh.data[2] == pytest.approx(4.5, rel=1e-12)
 
+    @pytest.mark.parametrize("amp", [12, 12.0, -4])
+    def test_integer_amplitude_off_the_grid_takes_float_path(self, amp):
+        # An integer amplitude that is not a multiple of 2**n = 8 has no
+        # exact int64 time-domain signal; the float path keeps it exact.
+        clean, noisy = gen(spec_for(3, [(2, amp), (5, 8)]))
+        assert clean.data.dtype == noisy.data.dtype == np.float64
+        walsh = fwht_inplace(clean.copy())
+        assert walsh.data.tolist() == [0, 0, amp, 0, 0, 8, 0, 0]
+
     def test_fractional_path_scales_before_summing(self):
         # The 0.5 keeps gen on the float64 path. Summing 1e308 + 1e308
         # before dividing by 2**n would overflow to inf, then NaN.
@@ -237,6 +246,17 @@ class TestSnr:
         report = snr(clean, sigma=0.0)
         assert report.infinite
         assert report.snr_linear == math.inf
+
+    def test_underflowing_noise_variance_flags_infinite(self):
+        # 2**6 * (1e-200)**2 underflows to 0.0: the same report as sigma = 0.
+        clean, _ = gen(spec_for(6, [(3, 64)]))
+        report = snr(clean, sigma=1e-200)
+        assert report.infinite
+        assert report.noise_walsh_variance == 0.0
+        assert (report.snr_linear, report.snr_db) == (math.inf, math.inf)
+        zero = snr(clean, sigma=0.0)
+        assert (zero.infinite, zero.noise_walsh_variance, zero.snr_db) \
+            == (True, 0.0, math.inf)
 
     def test_negative_sigma_rejected(self):
         clean, _ = gen(spec_for(4, [(3, 16)]))

@@ -101,6 +101,18 @@ def test_only_core_and_parallel_check_the_bound():
     assert touching == ["core.py", "parallel.py"]
 
 
+def test_only_core_sizes_kernel_scratch():
+    # The kernel allocates its own scratch, rows_transform its
+    # temporaries included; a module that read TILE_ELEMS would be sizing
+    # kernel scratch beside it.
+    touching = []
+    for path in sorted(Path(bigwht.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "TILE_ELEMS" in _referenced_names(tree):
+            touching.append(path.name)
+    assert touching == ["core.py"]
+
+
 def test_only_rows_transform_runs_quad():
     # Stages above a tile have one loop, core.rows_transform, and _quad is
     # its radix-4 step; a second function reaching _quad would be a second

@@ -364,6 +364,28 @@ class TestCoverage:
             coverage_simulate(30, 2, 2, 1, sample_count=count)
 
 
+@pytest.mark.parametrize("rows, match", [
+    ([1, 0, 1], "2-D"),
+    ([[1, 0], [0, 1], [1, 1]], "d_out <= d_in"),
+    ([[1, 2]], "0 or 1"),
+], ids=["1-d", "d_out>d_in", "entry-2"])
+def test_linear_map_refusals(rows, match):
+    with pytest.raises(BadDims, match=match):
+        LinearMap(np.array(rows))
+
+
+@pytest.mark.parametrize("domain, d_in, error, match", [
+    ("walsh", 4, BadArguments, "not time-domain"),
+    ("time", 5, DimMismatch, "d_in=5"),
+], ids=["walsh-domain", "d_in-mismatch"])
+def test_fold_dataset_refusals(tmp_path, domain, d_in, error, match):
+    path = str(tmp_path / "in.bin")
+    dataset.write_signal(path, np.arange(16, dtype=np.int64), domain=domain)
+    with dataset.open_validated(path) as ds:
+        with pytest.raises(error, match=match):
+            fold_dataset(ds, random_full_rank(d_in, 2, seed=1))
+
+
 class TestMapFiles:
     def test_save_load_round_trip(self, tmp_path):
         lmap = random_full_rank(10, 4, seed=12)
@@ -388,3 +410,14 @@ class TestMapFiles:
             f.write("12\n")
         with pytest.raises(BadMetadata):
             load_map(path)
+
+    @pytest.mark.parametrize("content, match", [
+        (None, "cannot read"),
+        ("\n  \n", "empty"),
+    ], ids=["missing", "empty"])
+    def test_unreadable_rejected(self, tmp_path, content, match):
+        path = tmp_path / "map.txt"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(BadMetadata, match=match):
+            load_map(str(path))
