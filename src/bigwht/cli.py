@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import dataset, external, iobench, noisy, perfmodel, subspace
 from .core import Domain, Signal, wht_bruteforce, ORACLE_LIMIT_DEFAULT
-from .errors import BigWHTError, BadArguments
+from .errors import BigWHTError, BadArguments, IoFailure
 from .noisy import NoiseKind, NoisySignalSpec
 
 JSON_SCHEMA_VERSION = 1
@@ -158,7 +159,7 @@ def gen(ctx, log2_dim, support, noise_kind, sigma, seed, out_path, clean_path):
         "seed": spec.seed,
         "out": out_path,
         "clean_out": clean_path,
-        "element_kind": "int64" if noisy_sig.is_exact else "float64",
+        "element_kind": noisy_sig.data.dtype.name,
     }, note=f"wrote {out_path}: n={log2_dim}, {len(spec.support)} planted "
             f"coefficients, {noise_kind} noise sigma={sigma}")
 
@@ -276,10 +277,11 @@ def oracle(ctx, in_path, out_path, expect_path, limit):
 @click.pass_context
 def extract(ctx, in_path, threshold, out_path):
     """List Walsh coefficients above a threshold as CSV (index,coefficient)."""
-    if out_path and os.path.realpath(out_path) in (
-            os.path.realpath(in_path),
-            os.path.realpath(dataset.sidecar_path(in_path))):
-        raise click.UsageError("--out names the input dataset or its sidecar")
+    if out_path and (dataset.is_dataset_file(out_path)
+                     or os.path.realpath(out_path) in (
+                         os.path.realpath(in_path),
+                         os.path.realpath(dataset.sidecar_path(in_path)))):
+        raise click.UsageError("--out names a dataset payload or sidecar")
     _adopt_if_forced(ctx, in_path, "walsh")
     with dataset.open_validated(in_path) as ds:
         hits = noisy.extract_above_dataset(ds, threshold)
@@ -314,16 +316,7 @@ def snr(ctx, in_path, sigma):
     report = noisy.snr(sig, sigma)
     db = "inf" if report.infinite else f"{report.snr_db:.4f}"
     _report(ctx, "snr", {
-        "in": in_path,
-        "n": sig.log2_dim,
-        "sigma": sigma,
-        "snr_linear": report.snr_linear,
-        "snr_db": report.snr_db,
-        "signal_energy": report.signal_energy,
-        "noise_walsh_variance": report.noise_walsh_variance,
-        "significance_threshold_db": report.significance_threshold_db,
-        "significance_threshold_db_base2": report.significance_threshold_db_base2,
-        "infinite": report.infinite,
+        "in": in_path, "n": sig.log2_dim, "sigma": sigma, **asdict(report),
     }, text=f"n={sig.log2_dim} energy={report.signal_energy:.6g} "
             f"sigma={sigma} snr={report.snr_linear:.6g} ({db} dB)\n"
             f"significance threshold: {report.significance_threshold_db:.4f} "
@@ -422,6 +415,8 @@ def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed)
         sizes = [_parse_size(tok) for tok in blocks.split(",") if tok.strip()]
     except ValueError:
         raise click.UsageError(f"cannot parse --blocks {blocks!r}")
+    if csv_path and dataset.is_dataset_file(csv_path):
+        raise click.UsageError("--csv names a dataset payload or sidecar")
     report = iobench.sweep(
         directory,
         file_bytes,
@@ -451,6 +446,8 @@ def iobench_cmd(ctx, directory, file_gb, blocks, direct, csv_path, no_raw, seed)
             for r in report.rows
         ],
     }, text=report.format_table())
+    if all(r.error for r in report.rows):
+        raise IoFailure("every block size failed")
 
 
 # -- fold -------------------------------------------------------------------------
@@ -509,18 +506,11 @@ def coverage(ctx, din, dout, machines, trials, seed, sample_count):
     result = subspace.coverage_simulate(
         din, dout, machines, trials, seed=seed, sample_count=sample_count,
     )
-    _report(ctx, "coverage", {
-        "d_in": result.d_in,
-        "d_out": result.d_out,
-        "machines": result.machines,
-        "trials": result.trials,
-        "per_trial": result.per_trial,
-        "mean": result.mean,
-        "model_prediction": result.model_prediction,
-    }, text="".join(["trial,coverage\n"] + [
-        f"{t},{c:.6f}\n" for t, c in enumerate(result.per_trial)]),
-        note=f"mean coverage {result.mean:.4f} "
-             f"(model predicts {result.model_prediction:.4f})")
+    _report(ctx, "coverage", asdict(result),
+            text="".join(["trial,coverage\n"] + [
+                f"{t},{c:.6f}\n" for t, c in enumerate(result.per_trial)]),
+            note=f"mean coverage {result.mean:.4f} "
+                 f"(model predicts {result.model_prediction:.4f})")
 
 
 # -- entry point -----------------------------------------------------------------

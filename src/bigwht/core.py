@@ -82,7 +82,7 @@ class Domain(str, enum.Enum):
         raise BadArguments(f"bad domain {value!r}")
 
 
-def _check_signal_array(arr: np.ndarray) -> None:
+def check_signal_array(arr: np.ndarray) -> None:
     """Refuse an array that is not 1-D, of 2**n elements, int64 or float64."""
     if arr.ndim != 1:
         raise BadArguments("signal data must be one-dimensional")
@@ -109,7 +109,7 @@ class Signal:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data)
-        _check_signal_array(arr)
+        check_signal_array(arr)
         # The in-place kernel works on reshaped views, which need
         # contiguous storage.
         self.data = np.ascontiguousarray(arr)
@@ -315,7 +315,7 @@ def fwht_array(buf: np.ndarray) -> int:
     scratch is one tile on every path, allocated per call so concurrent
     callers on disjoint buffers are safe.
     """
-    _check_signal_array(buf)
+    check_signal_array(buf)
     if not buf.flags.c_contiguous:
         raise BadArguments("in-place transform needs a contiguous buffer")
     n = buf.size.bit_length() - 1

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .bits import is_power_of_two
-from .core import Domain
+from .core import Domain, check_signal_array
 from .errors import (
     BadArguments,
     BadMetadata,
@@ -371,6 +371,17 @@ def refuse_existing(path: str) -> None:
         raise PathExists(f"{path} (or its sidecar) already exists")
 
 
+def is_dataset_file(path: str) -> bool:
+    """Whether ``path``, as named or with symlinks resolved, is a dataset
+    payload (it has a sidecar) or an existing sidecar. A command that
+    writes a plain file refuses such a path, so it cannot overwrite a
+    dataset."""
+    real = os.path.realpath(path)
+    if real.endswith(sidecar_path("")) and os.path.exists(real):
+        return True
+    return any(os.path.exists(sidecar_path(p)) for p in (path, real))
+
+
 def create(
     path: str,
     log2_dim: int,
@@ -441,13 +452,8 @@ def adopt(path: str, element_kind: str, domain: str) -> int:
 def write_signal(path: str, data: np.ndarray, domain: str = "time") -> None:
     """Create a dataset holding ``data`` (int64 or float64, length 2**n)."""
     arr = np.asarray(data)
-    if arr.dtype not in _DTYPES.values():
-        raise BadArguments(f"unsupported dtype {arr.dtype}")
     # Refuse before create, which would leave a zero-filled dataset behind.
-    if arr.ndim != 1 or not is_power_of_two(arr.size):
-        raise BadArguments(
-            f"need a 1-D array of power-of-two length, got shape {arr.shape}"
-        )
+    check_signal_array(arr)
     ds = create(path, arr.size.bit_length() - 1, arr.dtype.name, domain=domain)
     try:
         ds.write_block(0, arr)

@@ -9,7 +9,7 @@ one measurement's page-cache residue doesn't flatter the next.
 
 from __future__ import annotations
 
-import hashlib
+import filecmp
 import mmap
 import os
 import shutil
@@ -152,17 +152,6 @@ def _fill_source(path: str, nbytes: int, seed: int) -> None:
         os.close(fd)
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while True:
-            chunk = f.read(8 << 20)
-            if not chunk:
-                break
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _check_scratch(directory: str, needed: int) -> None:
     free = shutil.disk_usage(directory).free
     if free < needed:
@@ -220,8 +209,8 @@ def measure_copy(
 
     ``seed`` seeds the source file's pseudorandom content (default 0, as
     the CLI's --seed). The clock covers the block loop plus the final
-    durability flush. The copy is checksum-verified against the source
-    after the clock stops; both files are deleted before returning.
+    durability flush. After the clock stops, the copy is compared with
+    the source byte for byte; both files are deleted before returning.
     """
     if file_bytes < 1 or block_bytes < 1:
         raise BadArguments("file_bytes and block_bytes must be positive")
@@ -233,7 +222,7 @@ def measure_copy(
         src, dst = os.path.join(tmp, "src"), os.path.join(tmp, "dst")
         _fill_source(src, file_bytes, seed)
         seconds = _stream(src, dst, file_bytes, transfer, direct_io, warnings)
-        if _sha256(src) != _sha256(dst):
+        if not filecmp.cmp(src, dst, shallow=False):
             raise IoFailure(f"copy of {src} is not byte-identical")
     return CopyMeasurement(
         block_bytes=block_bytes,

@@ -241,43 +241,46 @@ def significance_threshold_db(n: int, log_base: str = "e") -> float:
 
 
 def extract_above(sig: Signal, tau) -> list[tuple[int, float]]:
-    """All (index, coefficient) with |coefficient| >= tau, largest first.
+    """All (index, coefficient) of a Walsh-domain signal with
+    |coefficient| >= tau, largest magnitude first.
 
     Ties in magnitude break by ascending index so output order is
-    reproducible. The input must be Walsh-domain.
+    reproducible. Coefficients are int for int64 data, float for float64.
     """
     if sig.domain != Domain.WALSH:
         raise BadArguments("extraction expects a Walsh-domain signal")
-    _check_tau(tau)
-    hits: list[tuple[int, float]] = []
-    _extract(sig.data, 0, tau, hits)
-    hits.sort(key=lambda item: (-abs(item[1]), item[0]))
-    return hits
+    return _collect_hits([(0, sig.data)], tau)
 
 
 def extract_above_dataset(
     ds: dataset.DatasetFile, tau
 ) -> list[tuple[int, float]]:
-    """Streaming extraction over a Walsh-domain dataset, one
+    """``extract_above`` over a Walsh-domain dataset, streamed one
     ``dataset.STREAM_BLOCK_ELEMS`` block at a time, each read into the
     same reused buffer."""
     if ds.domain != "walsh":
         raise BadArguments(f"{ds.path} is not Walsh-domain")
-    _check_tau(tau)
-    hits: list[tuple[int, float]] = []
     block = min(dataset.STREAM_BLOCK_ELEMS, ds.dim)
     buf = np.empty(block, dtype=ds.dtype)
-    for start in range(0, ds.dim, block):
-        _extract(ds.read_block(start, block, out=buf), start, tau, hits)
-    hits.sort(key=lambda item: (-abs(item[1]), item[0]))
-    return hits
+    return _collect_hits(
+        ((start, ds.read_block(start, block, out=buf))
+         for start in range(0, ds.dim, block)), tau)
 
 
-def _check_tau(tau) -> None:
+def _collect_hits(blocks, tau) -> list[tuple[int, float]]:
+    """``extract_above``'s hit list over ``(base, block)`` pairs, each
+    block holding the coefficients at indices base, base + 1, ...; the
+    one place hits are collected and sorted. tau is checked before the
+    first block is taken."""
     # tau != tau tests for NaN without converting: math.isnan raises on
     # ints too large for a float, such as 2**64.
     if tau != tau or tau < 0:
         raise BadArguments(f"tau must be a number >= 0, got {tau}")
+    hits: list[tuple[int, float]] = []
+    for base, block in blocks:
+        _extract(block, base, tau, hits)
+    hits.sort(key=lambda item: (-abs(item[1]), item[0]))
+    return hits
 
 
 def _extract(chunk: np.ndarray, base: int, tau, hits: list) -> None:

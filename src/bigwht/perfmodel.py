@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 from .bits import is_power_of_two
 from .errors import BadArguments, EmptyReport
+from .external import plan_external
 from .iobench import IoBenchReport
 from .subspace import coverage_model
 
@@ -98,10 +99,15 @@ def t_cp(params: PerfParams, n: int) -> float:
 
 def estimate(params: PerfParams, n: int, mem_log2: int) -> PerfEstimate:
     """Predict the external-WHT runtime for dimension 2**n at budget B.
-    Raises ``BadArguments`` when that runtime is beyond a float."""
+
+    q is the pass count of the disk plan ``external.plan_external``
+    builds, n - B + 1 for the paper's modes, so the model and the engine
+    count passes in one place. Raises ``BadArguments`` when the runtime
+    is beyond a float.
+    """
     if mem_log2 < 1 or n < mem_log2:
         raise BadArguments(f"need n >= B >= 1, got n={n}, B={mem_log2}")
-    q = n - mem_log2 + 1
+    q = plan_external(n, mem_log2, 1).q
     try:
         cpu = t_cpu(params, n)
         io = q * t_cp(params, n)

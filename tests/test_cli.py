@@ -130,10 +130,14 @@ class TestRefusedArguments:
         (["fold", "--in", "T", "--matrix", "M", "--out", "F",
           "--gen-dout", "2"], 3),
         (["gen", "--n", "4", "--support", "3-5", "--out", "G"], 1),
+        # A plain-file output onto another dataset's payload.
+        (["extract", "--in", "X", "--threshold", "1", "--out", "T"], 1),
+        (["iobench", "--dir", ".", "--file-gb", "0.001", "--csv", "T"], 1),
     ], ids=["extract-onto-payload", "extract-onto-sidecar", "gen-seed",
             "coverage-seed", "iobench-seed", "fold-seed", "file-gb-nan",
             "file-gb-inf", "file-gb-tiny", "io-block-bytes-12",
-            "oracle-no-output", "gen-dout-onto-matrix", "support-dash"])
+            "oracle-no-output", "gen-dout-onto-matrix", "support-dash",
+            "extract-onto-dataset", "iobench-csv-onto-dataset"])
     def test_refused(self, capsys, workdir, monkeypatch, argv, code):
         def no_work(*args, **kwargs):
             raise AssertionError("worked before refusing the arguments")
@@ -730,6 +734,39 @@ class TestIobenchCli:
                        if p.name == "blocks")
         assert tuple(_parse_size(tok) for tok in default.split(",")) \
             == iobench.DEFAULT_BLOCK_SIZES
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_all_failed_sweep_is_io_error(self, capsys, tmp_path, json_flag):
+        # The failed row is still reported before the exit code says so.
+        code, out, err = run_capture(
+            capsys, json_flag + ["iobench", "--dir", str(tmp_path / "none"),
+                                 "--file-gb", "0.001", "--no-raw",
+                                 "--blocks", "64K"])
+        assert code == 2
+        if json_flag:
+            assert json.loads(out)["rows"][0]["error"]
+        else:
+            assert f"{64 << 10:>12} failed: " in out
+        assert err.splitlines()[-1] == "error: every block size failed"
+
+    def test_one_failed_row_of_two_succeeds(self, capsys, tmp_path,
+                                            monkeypatch):
+        from bigwht import iobench
+        from bigwht.errors import IoFailure
+        real_copy = iobench.measure_copy
+
+        def first_fails(directory, file_bytes, block_bytes, *args, **kwargs):
+            if block_bytes == 64 << 10:
+                raise IoFailure("injected")
+            return real_copy(directory, file_bytes, block_bytes, *args,
+                             **kwargs)
+
+        monkeypatch.setattr(iobench, "measure_copy", first_fails)
+        code, out, _ = run_capture(
+            capsys, ["iobench", "--dir", str(tmp_path), "--file-gb", "0.001",
+                     "--no-raw", "--blocks", "64K,256K"])
+        assert code == 0
+        assert "failed: injected" in out
 
     def test_bad_blocks_usage_error(self, capsys, tmp_path):
         code, _, _ = run_capture(

@@ -447,6 +447,18 @@ class TestSyncBehind:
 
 
 class TestHelpers:
+    def test_is_dataset_file(self, tmp_path, path):
+        dataset.write_signal(path, np.zeros(4, dtype=np.int64))
+        os.symlink(path, tmp_path / "link")
+        os.symlink(dataset.sidecar_path(path), tmp_path / "meta-link")
+        (tmp_path / "plain.csv").write_text("index,coefficient\n")
+        dataset_files = [path, dataset.sidecar_path(path),
+                         str(tmp_path / "link"), str(tmp_path / "meta-link")]
+        assert all(map(dataset.is_dataset_file, dataset_files))
+        assert not dataset.is_dataset_file(str(tmp_path / "plain.csv"))
+        assert not dataset.is_dataset_file(str(tmp_path / "new.csv"))
+        assert not dataset.is_dataset_file(str(tmp_path / "new.meta.json"))
+
     def test_write_read_signal(self, path):
         rng = np.random.default_rng(3)
         data = rng.normal(size=64)

@@ -165,3 +165,17 @@ def test_one_function_reads_the_json_flag():
                if isinstance(func, ast.FunctionDef)
                and any(reads_json(node) for node in ast.walk(func))]
     assert readers == ["_report"]
+
+
+def test_one_function_collects_hits():
+    # noisy._collect_hits is the one loop that runs _extract and sorts the
+    # hits; a second function reaching _extract would be a second hit list
+    # grown back beside it.
+    reaching = []
+    for path in sorted(Path(bigwht.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reaching += [f"{path.name} {getattr(node, 'name', '<module>')}"
+                     for node in tree.body
+                     if getattr(node, "name", None) != "_extract"
+                     and "_extract" in _referenced_names(node)]
+    assert reaching == ["noisy.py _collect_hits"]
